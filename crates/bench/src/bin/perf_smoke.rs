@@ -2,8 +2,7 @@
 //! hot paths, written as `BENCH_service.json` so the repo's performance
 //! trajectory accumulates one data point per CI run.
 //!
-//! Seven workload families — six wall-clock timings plus one
-//! quality-per-evaluation race:
+//! Five workload families, all wall-clock timings:
 //!
 //! * **annealing step** — one solver-shaped neighbour evaluation (swap a
 //!   jury member, read the JQ, revert) on the from-scratch bucket DP vs.
@@ -20,14 +19,6 @@
 //!   `JuryService` under each [`jury_service::SweepPolicy`]: cold
 //!   per-budget solves, the warm marginal sweep, and the warm (seeded)
 //!   annealing sweep (median of N);
-//! * **store contention** — 8 threads of repeated, fully warmed small-pool
-//!   mixed traffic, so every request is served almost entirely from the
-//!   shared JQ store: per-response p50/p99 with the striped store
-//!   (`cache_shards = 8`) vs. the single-lock store (`cache_shards = 1`);
-//! * **portfolio quality** — `SolverPolicy::Portfolio` vs plain annealing
-//!   on a large pool, both capped at the same evaluation budget; the
-//!   ratio compares JQ margin over the coin-flip floor, not time, and is
-//!   fully deterministic (evaluation caps never read the clock);
 //! * **parallel portfolio race** — the identical unbudgeted portfolio race
 //!   run sequentially and spread across `--threads` solver lanes
 //!   (`jury_selection::ParallelPolicy`). Both runs return the same jury by
@@ -89,14 +80,11 @@ use rand::SeedableRng;
 use jury_jq::{
     BucketCount, BucketJqConfig, BucketJqEstimator, IncrementalJq, IncrementalJqConfig, KernelMode,
 };
-use jury_model::{GaussianWorkerGenerator, Jury, MatrixPool, Prior, Worker, WorkerPool};
+use jury_model::{GaussianWorkerGenerator, Jury, Prior, Worker, WorkerPool};
 use jury_selection::{
     BvObjective, JspInstance, JurySolver, ParallelPolicy, PortfolioConfig, PortfolioSolver,
 };
-use jury_service::{
-    JuryService, MixedRequest, MixedResponse, MultiClassSelectionRequest, SelectionRequest,
-    ServiceConfig, ServiceError, SolverPolicy, SweepPolicy,
-};
+use jury_service::{JuryService, ServiceConfig, SweepPolicy};
 
 /// Bucket resolution shared by the scratch and incremental paths so the
 /// comparison is work-for-work (the paper's experimental budget).
@@ -150,110 +138,14 @@ fn incremental_for(pool: &WorkerPool, members: &[Worker]) -> IncrementalJq {
     engine
 }
 
-/// Threads of the contention workload — enough to oversubscribe one lock
-/// word without outrunning small CI runners.
-const CONTENTION_THREADS: usize = 8;
-
-/// Per-response p50/p99 (µs) of `CONTENTION_THREADS` threads hammering a
-/// service whose JQ store has `shards` shards with repeated small-pool
-/// mixed traffic.
-///
-/// Every distinct request is served once before timing starts, so the
-/// timed loop re-enumerates fully memoized juries: almost all of its work
-/// is JQ-store reads, which makes the p99 a direct probe of lock
-/// contention. Binary budgets all share one signature key space (the JQ
-/// of a jury does not depend on the budget that selected it), so the
-/// traffic spreads across shards by signature hash exactly like real
-/// batch load.
-fn contention_percentiles_us(shards: usize, rounds: usize) -> (f64, f64) {
-    let service = JuryService::new(ServiceConfig::fast().with_cache_shards(shards));
-    let qualities: Vec<f64> = (0..10).map(|w| 0.55 + 0.03 * w as f64).collect();
-    let pool = WorkerPool::from_qualities_and_costs(&qualities, &[1.0; 10]).unwrap();
-    let matrix =
-        MatrixPool::from_qualities_and_costs(&[0.9, 0.8, 0.7, 0.65, 0.6, 0.55], &[1.0; 6], 3)
-            .unwrap();
-    let requests: Vec<MixedRequest> = (2..=9)
-        .map(|budget| MixedRequest::from(SelectionRequest::new(pool.clone(), budget as f64)))
-        .chain((2..=5).map(|budget| {
-            MixedRequest::from(MultiClassSelectionRequest::new(
-                matrix.clone(),
-                budget as f64,
-            ))
-        }))
-        .collect();
-    let serve = |request: &MixedRequest| match request {
-        MixedRequest::Binary(request) => {
-            std::hint::black_box(service.select(request).expect("valid request"));
-        }
-        MixedRequest::MultiClass(request) => {
-            std::hint::black_box(service.select_multiclass(request).expect("valid request"));
-        }
-    };
-    // Warm pass: memoize every JQ value the traffic will ever need.
-    for request in &requests {
-        serve(request);
-    }
-
-    let mut samples: Vec<f64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..CONTENTION_THREADS)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::with_capacity(rounds * requests.len());
-                    for _ in 0..rounds {
-                        for request in &requests {
-                            let start = Instant::now();
-                            serve(request);
-                            local.push(start.elapsed().as_secs_f64() * 1e6);
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("contention worker panicked"))
-            .collect()
-    });
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    let p50 = samples[samples.len() / 2];
-    let p99 = samples[(samples.len() * 99 / 100).min(samples.len() - 1)];
-    (p50, p99)
-}
-
-/// Candidates of the portfolio-quality race (past the exact cutoff, so the
-/// heuristic members actually engage) and its shared evaluation cap.
+/// Candidates (past the exact cutoff, so the heuristic members actually
+/// engage) and jury budget of the parallel portfolio race.
 const PORTFOLIO_POOL_SIZE: usize = 60;
-const PORTFOLIO_EVAL_CAP: u64 = 1_500;
 const PORTFOLIO_JURY_BUDGET: f64 = 6.0;
-
-/// JQ reached by `policy` on the portfolio-race pool under the shared
-/// evaluation cap. A cap-truncated serve surfaces as `DeadlineExceeded`
-/// carrying the anytime best-so-far, which counts as the answer here.
-fn capped_quality(pool: &WorkerPool, policy: SolverPolicy) -> f64 {
-    let service = JuryService::new(ServiceConfig::fast());
-    let request = SelectionRequest::new(pool.clone(), PORTFOLIO_JURY_BUDGET)
-        .with_policy(policy)
-        .with_evaluation_limit(PORTFOLIO_EVAL_CAP);
-    match service.select(&request) {
-        Ok(response) => response.quality,
-        Err(ServiceError::DeadlineExceeded {
-            best_so_far: Some(best),
-        }) => match *best {
-            MixedResponse::Binary(response) => response.quality,
-            other => panic!("binary request returned {other:?}"),
-        },
-        Err(err) => panic!("capped select failed: {err}"),
-    }
-}
 
 /// The machine-independent ratios compared by `--check`. Raw `median_us`
 /// timings shift with the host; the timing ratios divide two timings from
 /// the same run, so a drop can only come from a real relative slowdown.
-/// `portfolio_vs_annealing_quality_per_eval` instead divides two JQ margins
-/// over the 0.5 coin-flip floor at the same evaluation cap — deterministic
-/// on every host, it gates the portfolio's quality-per-evaluation claim
-/// against plain annealing.
 ///
 /// * `annealing_step_incremental_vs_scratch` — one swap-and-score
 ///   neighbour: incremental engine vs from-scratch bucket DP.
@@ -264,23 +156,17 @@ fn capped_quality(pool: &WorkerPool, policy: SolverPolicy) -> f64 {
 /// * `sweep_warm_marginal_vs_cold` / `sweep_warm_annealing_vs_cold` — a
 ///   budget–quality sweep through the service with warm-start policies vs
 ///   independent cold solves.
-/// * `contention_sharded_vs_single_lock` — p99 response time of warmed
-///   multi-threaded traffic on the single-lock JQ store vs the striped one.
-/// * `portfolio_vs_annealing_quality_per_eval` — JQ margin over 0.5 at a
-///   fixed evaluation cap, portfolio policy vs plain annealing.
 /// * `parallel_portfolio_vs_sequential` — wall-clock of the identical
 ///   unbudgeted portfolio race, sequential vs spread across `--threads`
 ///   lanes. The baseline pins ≈ 1.0 (single-core CI sees no speedup and
 ///   must see no slowdown past the tolerance either); multi-core hosts
 ///   report > 1.
-const CHECKED_SPEEDUPS: [&str; 8] = [
+const CHECKED_SPEEDUPS: [&str; 6] = [
     "annealing_step_incremental_vs_scratch",
     "greedy_round_incremental_vs_scratch",
     "kernel_vectorized_vs_scalar",
     "sweep_warm_marginal_vs_cold",
     "sweep_warm_annealing_vs_cold",
-    "contention_sharded_vs_single_lock",
-    "portfolio_vs_annealing_quality_per_eval",
     "parallel_portfolio_vs_sequential",
 ];
 
@@ -466,18 +352,12 @@ fn main() {
     let sweep_warm_marginal = sweep(SweepPolicy::WarmMarginal);
     let sweep_warm_annealing = sweep(SweepPolicy::WarmAnnealing);
 
-    // Store contention: identical warmed traffic against the single-lock
-    // store and the striped store. The single-lock run goes first so both
-    // see the same cold-cpu handicap ordering run-to-run.
-    let contention_rounds = iters.max(1) * 4;
-    let (contention_single_p50, contention_single_p99) =
-        contention_percentiles_us(1, contention_rounds);
-    let (contention_sharded_p50, contention_sharded_p99) =
-        contention_percentiles_us(8, contention_rounds);
-
-    // Portfolio quality race: same pool, same jury budget, same evaluation
-    // cap — the only variable is the policy. Non-uniform costs keep the
-    // knapsack structure non-trivial.
+    // Parallel portfolio race: the identical unbudgeted race on the same
+    // pool, sequential vs spread across the solver lanes. Unbudgeted runs
+    // are pure replays at any lane count (the determinism contract of
+    // `jury_selection::parallel`), so numerator and denominator do the
+    // same search work and the ratio isolates the multi-core win.
+    // Non-uniform costs keep the knapsack structure non-trivial.
     let portfolio_qualities: Vec<f64> = (0..PORTFOLIO_POOL_SIZE)
         .map(|i| 0.52 + 0.012 * (i % 30) as f64)
         .collect();
@@ -486,17 +366,8 @@ fn main() {
         .collect();
     let portfolio_pool =
         WorkerPool::from_qualities_and_costs(&portfolio_qualities, &portfolio_costs).unwrap();
-    let portfolio_quality = capped_quality(&portfolio_pool, SolverPolicy::Portfolio(Vec::new()));
-    let annealing_quality = capped_quality(&portfolio_pool, SolverPolicy::Annealing);
-
-    // Parallel portfolio race: the identical unbudgeted race on the same
-    // pool, sequential vs spread across the solver lanes. Unbudgeted runs
-    // are pure replays at any lane count (the determinism contract of
-    // `jury_selection::parallel`), so numerator and denominator do the
-    // same search work and the ratio isolates the multi-core win.
-    let race_instance =
-        JspInstance::with_uniform_prior(portfolio_pool.clone(), PORTFOLIO_JURY_BUDGET)
-            .expect("valid race instance");
+    let race_instance = JspInstance::with_uniform_prior(portfolio_pool, PORTFOLIO_JURY_BUDGET)
+        .expect("valid race instance");
     let race_iters = iters.div_ceil(3);
     let timed_race = |parallel: ParallelPolicy| {
         median_us(race_iters, || {
@@ -525,21 +396,13 @@ fn main() {
             "sweep_cold": sweep_cold,
             "sweep_warm_marginal": sweep_warm_marginal,
             "sweep_warm_annealing": sweep_warm_annealing,
-            "contention_single_lock_p50": contention_single_p50,
-            "contention_single_lock_p99": contention_single_p99,
-            "contention_sharded_p50": contention_sharded_p50,
-            "contention_sharded_p99": contention_sharded_p99,
             "portfolio_race_sequential": race_sequential,
             "portfolio_race_parallel": race_parallel,
         },
-        "contention_threads": CONTENTION_THREADS,
         "threads": threads,
         "portfolio_race": {
             "pool_size": PORTFOLIO_POOL_SIZE,
             "jury_budget": PORTFOLIO_JURY_BUDGET,
-            "evaluation_cap": PORTFOLIO_EVAL_CAP,
-            "portfolio_quality": portfolio_quality,
-            "annealing_quality": annealing_quality,
         },
         "kernel_race": {
             "members": KERNEL_RACE_MEMBERS,
@@ -551,12 +414,6 @@ fn main() {
             "kernel_vectorized_vs_scalar": kernel_scalar / kernel_vectorized,
             "sweep_warm_marginal_vs_cold": sweep_cold / sweep_warm_marginal,
             "sweep_warm_annealing_vs_cold": sweep_cold / sweep_warm_annealing,
-            "contention_sharded_vs_single_lock": contention_single_p99 / contention_sharded_p99,
-            // JQ margin over the 0.5 coin-flip floor, portfolio : annealing,
-            // at PORTFOLIO_EVAL_CAP evaluations each. ≥ 1.0 means the race
-            // beats or ties annealing-only at equal evaluation spend.
-            "portfolio_vs_annealing_quality_per_eval":
-                (portfolio_quality - 0.5) / (annealing_quality - 0.5).max(1e-12),
             "parallel_portfolio_vs_sequential": race_sequential / race_parallel,
         },
     });

@@ -302,6 +302,7 @@ mod tests {
     use jury_voting::{BayesianMultiClassVoting, PluralityVoting};
 
     use crate::exact::exact_bv_jq;
+    use crate::multiclass_incremental::IncrementalMultiClassJq;
 
     #[test]
     fn two_class_exact_matches_binary_exact() {
@@ -405,16 +406,29 @@ mod tests {
 
     #[test]
     fn approximation_scales_beyond_enumeration() {
-        // 30 workers over 3 labels would be 3^30 ≈ 2·10^14 votings for the
-        // exact method; the tuple DP handles it easily.
-        let qualities: Vec<f64> = (0..30).map(|i| 0.55 + 0.01 * (i % 20) as f64).collect();
+        // 14 workers over 3 labels is the smallest ℓ = 3 jury past the exact
+        // enumeration limit (3^14 > 2^22 votings). On a coarse grid the
+        // tuple DP must match the dense incremental engine built on the
+        // same grid.
+        let qualities: Vec<f64> = (0..14).map(|i| 0.55 + 0.01 * i as f64).collect();
         let jury = MatrixJury::from_qualities(&qualities, 3).unwrap();
         let prior = CategoricalPrior::uniform(3).unwrap();
-        let approx =
-            approx_multiclass_bv_jq(&jury, &prior, MultiClassBucketConfig { num_buckets: 100 })
-                .unwrap();
-        assert!(approx > 0.95, "a 30-strong jury should be strong: {approx}");
-        assert!(approx <= 1.0);
+        assert!(matches!(
+            exact_multiclass_bv_jq(&jury, &prior),
+            Err(JqError::EnumerationTooLarge { .. })
+        ));
+        let config = MultiClassBucketConfig { num_buckets: 8 };
+        let approx = approx_multiclass_bv_jq(&jury, &prior, config).unwrap();
+        let deltas = multiclass_grid_deltas(&jury, &prior, config).unwrap();
+        let mut engine = IncrementalMultiClassJq::new(&prior, &deltas).unwrap();
+        for worker in jury.workers() {
+            engine.push_worker(worker).unwrap();
+        }
+        assert!(
+            (approx - engine.jq()).abs() < 1e-9,
+            "scratch {approx} vs incremental {}",
+            engine.jq()
+        );
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //! The store is **striped into shards**: each key hashes deterministically
 //! to one shard, and each shard owns its own `parking_lot`-guarded map,
 //! segmented-LRU budget, and hit/miss/eviction counters. Worker threads of
-//! a batch that touch different keys therefore take different locks — the
-//! single shared lock this replaces was the serving-side bottleneck under
-//! 8-thread mixed traffic (see `perf_smoke`'s contention scenario).
+//! a batch that touch different keys therefore take different locks
+//! instead of queueing on one store-wide lock.
 //! `JqCache::stats` aggregates across shards for existing callers;
 //! `JqCache::shard_stats` exposes the per-shard view.
 //!
@@ -47,15 +46,6 @@ use jury_selection::{
 
 use crate::config::ServiceConfig;
 use crate::request::Strategy;
-
-/// Which key space a cache access belongs to, for per-kind accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CacheKind {
-    /// Binary-accuracy evaluations keyed by [`jury_signature`].
-    Binary,
-    /// Confusion-matrix evaluations keyed by [`multiclass_signature`].
-    MultiClass,
-}
 
 /// Hit/miss counters of one key kind within the shared store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -148,10 +138,11 @@ impl Shard {
         }
     }
 
-    fn counters(&self, kind: CacheKind) -> (&AtomicU64, &AtomicU64) {
-        match kind {
-            CacheKind::Binary => (&self.binary_hits, &self.binary_misses),
-            CacheKind::MultiClass => (&self.multiclass_hits, &self.multiclass_misses),
+    /// The hit/miss counters of the key's kind (its `CacheKey` variant).
+    fn counters(&self, key: &CacheKey) -> (&AtomicU64, &AtomicU64) {
+        match key {
+            CacheKey::Binary { .. } => (&self.binary_hits, &self.binary_misses),
+            CacheKey::MultiClass { .. } => (&self.multiclass_hits, &self.multiclass_misses),
         }
     }
 
@@ -228,12 +219,27 @@ impl JqCache {
         (hasher.finish() % self.shards.len() as u64) as usize
     }
 
-    fn get(&self, key: &CacheKey, kind: CacheKind) -> Option<f64> {
+    /// The memoized evaluation behind both cached objectives: a hit is
+    /// counted on `local_hits` and returned; a miss runs `compute` and
+    /// stores its value. Concurrent threads may compute the same value
+    /// twice; the insert is idempotent, so that only costs time, never
+    /// correctness.
+    fn memoize(&self, key: CacheKey, local_hits: &AtomicU64, compute: impl FnOnce() -> f64) -> f64 {
+        if let Some(value) = self.get(&key) {
+            local_hits.fetch_add(1, Ordering::Relaxed);
+            return value;
+        }
+        let value = compute();
+        self.insert(key, value);
+        value
+    }
+
+    fn get(&self, key: &CacheKey) -> Option<f64> {
         if self.capacity_per_shard == 0 {
             return None;
         }
         let shard = &self.shards[self.shard_for(key)];
-        let (hits, misses) = shard.counters(kind);
+        let (hits, misses) = shard.counters(key);
         let map = shard.map.read();
         match map.get(key) {
             Some(entry) => {
@@ -358,15 +364,8 @@ impl JuryObjective for CachedObjective<'_> {
             exact_cutoff: self.engine.exact_cutoff(),
             signature: jury_signature(jury, prior),
         };
-        if let Some(value) = self.cache.get(&key, CacheKind::Binary) {
-            self.local_hits.fetch_add(1, Ordering::Relaxed);
-            return value;
-        }
-        // Concurrent threads may compute the same value twice; the insert is
-        // idempotent, so that only costs time, never correctness.
-        let value = self.compute(jury, prior);
-        self.cache.insert(key, value);
-        value
+        self.cache
+            .memoize(key, &self.local_hits, || self.compute(jury, prior))
     }
 
     fn evaluations(&self) -> u64 {
@@ -377,28 +376,7 @@ impl JuryObjective for CachedObjective<'_> {
         &'a self,
         instance: &JspInstance,
     ) -> Option<Box<dyn IncrementalSession + 'a>> {
-        match self.strategy {
-            Strategy::Bv => {
-                // Pools within the exact cutoff are evaluated by exact
-                // enumeration (and served by the cache); the quantized
-                // session only pays off beyond it.
-                if instance.num_candidates() <= self.engine.exact_cutoff() {
-                    return None;
-                }
-                Some(bv_incremental_session_in(
-                    instance.pool(),
-                    instance.prior(),
-                    *self.engine.bucket_estimator().config(),
-                    &self.requests,
-                    &self.scratch,
-                ))
-            }
-            Strategy::Mv => Some(mv_incremental_session_in(
-                instance.prior(),
-                &self.requests,
-                &self.scratch,
-            )),
-        }
+        self.incremental_session_in(instance, &self.scratch)
     }
 
     fn incremental_session_in<'a>(
@@ -406,12 +384,15 @@ impl JuryObjective for CachedObjective<'_> {
         instance: &JspInstance,
         arena: &'a SharedJqScratch,
     ) -> Option<Box<dyn IncrementalSession + 'a>> {
-        // Same gating as `incremental_session`, but the engine buffers come
-        // from the caller's arena — this is what lets each portfolio lane
-        // reopen sessions without contending on this objective's shared
-        // scratch (`jury_selection::ArenaObjective`).
+        // The engine buffers come from the given arena: this objective's
+        // own scratch for plain sessions, or a lane's arena — which is what
+        // lets each portfolio lane reopen sessions without contending on
+        // the shared scratch (`jury_selection::ArenaObjective`).
         match self.strategy {
             Strategy::Bv => {
+                // Pools within the exact cutoff are evaluated by exact
+                // enumeration (and served by the cache); the quantized
+                // session only pays off beyond it.
                 if instance.num_candidates() <= self.engine.exact_cutoff() {
                     return None;
                 }
@@ -517,13 +498,8 @@ impl JuryObjective for CachedMultiClassObjective<'_> {
             exact_votings: self.inner.exact_votings(),
             signature: multiclass_signature(self.members(jury), self.inner.prior()),
         };
-        if let Some(value) = self.cache.get(&key, CacheKind::MultiClass) {
-            self.local_hits.fetch_add(1, Ordering::Relaxed);
-            return value;
-        }
-        let value = self.inner.evaluate(jury, prior);
-        self.cache.insert(key, value);
-        value
+        self.cache
+            .memoize(key, &self.local_hits, || self.inner.evaluate(jury, prior))
     }
 
     fn evaluations(&self) -> u64 {
@@ -798,7 +774,7 @@ mod tests {
         assert!(cache.stats().evictions > 0);
         for key in quiet {
             assert_eq!(
-                cache.get(key, CacheKind::Binary),
+                cache.get(key),
                 Some(1.0),
                 "eviction pressure on shard 0 must not touch shard 1"
             );
@@ -827,9 +803,9 @@ mod tests {
                         let q = 0.5 + 0.002 * (t * KEYS_PER_THREAD + i) as f64;
                         let key = binary_key(q);
                         // miss, insert, hit — exactly once each.
-                        assert_eq!(cache.get(&key, CacheKind::Binary), None);
+                        assert_eq!(cache.get(&key), None);
                         cache.insert(key.clone(), q);
-                        assert_eq!(cache.get(&key, CacheKind::Binary), Some(q));
+                        assert_eq!(cache.get(&key), Some(q));
                         // The multi-class key space is disjoint by
                         // construction; give it the same traffic.
                         let members: Vec<&MatrixWorker> =
@@ -839,9 +815,9 @@ mod tests {
                             exact_votings: 1 << 12,
                             signature: multiclass_signature(members, cat_prior),
                         };
-                        assert_eq!(cache.get(&mc_key, CacheKind::MultiClass), None);
+                        assert_eq!(cache.get(&mc_key), None);
                         cache.insert(mc_key.clone(), q + 1.0);
-                        assert_eq!(cache.get(&mc_key, CacheKind::MultiClass), Some(q + 1.0));
+                        assert_eq!(cache.get(&mc_key), Some(q + 1.0));
                     }
                 });
             }
@@ -930,7 +906,7 @@ mod proptests {
                     exact_cutoff: 14,
                     signature: jury_signature(&jury, Prior::uniform()),
                 };
-                if cache.get(&key, CacheKind::Binary).is_none() {
+                if cache.get(&key).is_none() {
                     cache.insert(key, i as f64);
                 }
             }

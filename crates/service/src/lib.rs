@@ -9,21 +9,25 @@
 //! budgets. This crate replaces that surface with a request/response API
 //! designed for serving:
 //!
-//! * [`SelectionRequest`] — a builder carrying pool + budget + prior +
-//!   [`Strategy`] (`Bv`/`Mv`) + [`SolverPolicy`]
-//!   (`Auto`/`Exact`/`Annealing`/`Greedy`) + optional per-request
-//!   [`ServiceConfig`] overrides;
-//! * [`MultiClassSelectionRequest`] — the Section 7 serving path: the same
-//!   builder convention over a confusion-matrix
-//!   [`jury_model::MatrixPool`], served by
-//!   [`JuryService::select_multiclass`] through the same solver policies
-//!   (exhaustive over the shadow projection, annealing, marginal greedy
-//!   with `IncrementalMultiClassJq` sessions past the measured crossover);
-//! * [`JuryService::select`] — returns `Result<SelectionResponse,
-//!   ServiceError>`; **nothing on the request path panics**;
-//! * [`JuryService::select_batch`] / [`JuryService::select_mixed_batch`] —
-//!   data-parallel batch execution across worker threads, with per-request
-//!   error reporting and one shared **sharded** JQ evaluation cache: the
+//! * [`SelectionRequest`] (a binary-accuracy pool, prior, and
+//!   [`Strategy`] `Bv`/`Mv`) and [`MultiClassSelectionRequest`] (the
+//!   Section 7 confusion-matrix [`jury_model::MatrixPool`] and categorical
+//!   prior) — builders sharing one set of serving knobs: budget,
+//!   [`SolverPolicy`] (`Auto`/`Exact`/`Annealing`/`Greedy`/`Portfolio`),
+//!   optional per-request [`ServiceConfig`] overrides, deadline, and
+//!   evaluation cap;
+//! * [`JuryService::select`] / [`JuryService::select_multiclass`] — **one
+//!   serving pipeline** for both kinds, returning a `Result` whose error is
+//!   a [`ServiceError`]; **nothing on the request path panics**. The kinds
+//!   differ only in prior validation, the cache-backed objective (the
+//!   multi-class one scores full confusion matrices while the solvers move
+//!   the pool's shadow projection, with `IncrementalMultiClassJq` sessions
+//!   past the measured crossover), and the response shape;
+//! * [`JuryService::select_batch`] / [`JuryService::select_multiclass_batch`]
+//!   / [`JuryService::select_mixed_batch`] — one data-parallel batch body
+//!   across worker threads for either kind or both side by side, with
+//!   per-request error reporting and one shared **sharded** JQ evaluation
+//!   cache: the
 //!   store is striped into [`ServiceConfig::cache_shards`] independently
 //!   locked segments routed by quantized jury signature hash
 //!   ([`jury_jq::signature`]) — binary entries under
@@ -43,10 +47,11 @@
 //!   greedy, with per-batch gate counters and per-shard store snapshots in
 //!   [`BatchMetrics`] (see [`JuryService::select_batch_with_metrics`]);
 //! * [`JuryService::budget_quality_table`] and
-//!   [`JuryService::multiclass_budget_quality_table`] — the Figure 1
-//!   budget–quality sweep, routed by [`SweepPolicy`]: cold per-budget
-//!   solves, a warm marginal sweep, or a warm **annealing** sweep that
-//!   seeds each budget with the previous budget's jury;
+//!   [`JuryService::multiclass_budget_quality_table`] — one Figure 1
+//!   budget–quality sweep for both kinds, routed by [`SweepPolicy`]: cold
+//!   per-budget solves, a warm marginal sweep, or a warm **annealing**
+//!   sweep that seeds each budget with the previous budget's jury; a table
+//!   is one call, so its rows never pass the admission gate;
 //! * [`JuryService::drift_scan`] / [`JuryService::repair`] /
 //!   [`JuryService::repair_batch`] — the **online serving loop** over
 //!   `jury-stream`: answers fold into a streaming
@@ -59,7 +64,8 @@
 //!
 //! Both paper systems are now *configurations* of one generic engine: the
 //! solvers are generic over `jury_selection::JuryObjective`, and the service
-//! provides a single cache-backed objective per strategy. The old
+//! provides a single cache-backed objective per request kind (the binary
+//! one covering both strategies). The old
 //! `jury_optjs::{Optjs, Mvjs}` types survive as thin facades delegating
 //! here.
 //!

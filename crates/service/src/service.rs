@@ -1,4 +1,12 @@
 //! The service itself: validated, fallible, batch-first jury selection.
+//!
+//! Binary and multi-class requests travel through **one** pipeline: a
+//! single request body (`serve_one`), a single gated batch body
+//! (`serve_batch`), and a single budget–quality sweep (`budget_table`).
+//! What differs between the two kinds — prior validation, the cache-backed
+//! objective, the pool the solvers search, the response shape — lives in
+//! one `SelectKind` impl per kind; the shared bodies never branch on the
+//! kind they serve.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -10,8 +18,8 @@ use jury_jq::MultiClassIncrementalConfig;
 use jury_model::{CategoricalPrior, MatrixPool, Prior, WorkerPool};
 use jury_selection::{
     AnnealingSolver, BudgetQualityRow, BudgetQualityTable, ExhaustiveSolver, GreedyMarginalSolver,
-    GreedyQualitySolver, GreedyRatioSolver, JspInstance, JuryObjective, JurySolver, MultiClassJsp,
-    MvjsSolver, ParallelPolicy, PortfolioConfig, PortfolioSolver, SearchBudget, SolverResult,
+    GreedyQualitySolver, GreedyRatioSolver, JspInstance, JuryObjective, JurySolver, MvjsSolver,
+    ParallelPolicy, PortfolioConfig, PortfolioSolver, SearchBudget, SolverResult,
     MAX_EXHAUSTIVE_POOL,
 };
 
@@ -19,7 +27,8 @@ use crate::cache::{CacheStats, CachedMultiClassObjective, CachedObjective, JqCac
 use crate::config::{OverloadPolicy, ServiceConfig, SweepPolicy};
 use crate::error::ServiceError;
 use crate::request::{
-    MixedRequest, MultiClassSelectionRequest, SelectionRequest, SolverPolicy, Strategy,
+    MixedRequest, MultiClassSelectionRequest, RequestOptions, SelectionRequest, SolverPolicy,
+    Strategy,
 };
 use crate::response::{
     BatchMetrics, BatchOutcome, MixedResponse, MultiClassSelectionResponse, SelectionResponse,
@@ -173,80 +182,78 @@ impl JuryService {
     /// # Ok::<(), ServiceError>(())
     /// ```
     pub fn select(&self, request: &SelectionRequest) -> Result<SelectionResponse, ServiceError> {
-        self.select_inner(request, false)
+        self.serve_one(request, false)
     }
 
-    /// [`Self::select`] with the batch-over-solver thread priority applied:
-    /// when the surrounding batch has already fanned its slots out across
-    /// worker threads (`sequential_solver`), this request's solve runs its
-    /// lanes sequentially instead of oversubscribing the same cores.
-    fn select_inner(
+    /// The one request body behind [`Self::select`],
+    /// [`Self::select_multiclass`], and every batch slot:
+    /// [`Self::serve_anytime`], with a search its budget cut short reported
+    /// as `DeadlineExceeded` carrying the anytime best-so-far.
+    fn serve_one<R: SelectKind>(
         &self,
-        request: &SelectionRequest,
+        request: &R,
         sequential_solver: bool,
-    ) -> Result<SelectionResponse, ServiceError> {
+    ) -> Result<R::Response, ServiceError> {
+        match self.serve_anytime(request, sequential_solver)? {
+            (response, false) => Ok(response),
+            (response, true) => Err(ServiceError::DeadlineExceeded {
+                best_so_far: Some(Box::new(R::into_mixed(response))),
+            }),
+        }
+    }
+
+    /// Serves one request of either kind, flagging whether its search
+    /// budget cut the search short: resolve the configuration, validate
+    /// (the kind's prior checks, then the shared budget checks), build the
+    /// kind's cache-backed objective, and dispatch the solver under the
+    /// request's search budget. Cold table rows call this directly, so a
+    /// truncated row keeps its jury.
+    ///
+    /// `sequential_solver` applies the batch-over-solver thread priority:
+    /// when the surrounding batch has already fanned its slots out across
+    /// worker threads, this request's solve runs its lanes sequentially
+    /// instead of oversubscribing the same cores.
+    fn serve_anytime<R: SelectKind>(
+        &self,
+        request: &R,
+        sequential_solver: bool,
+    ) -> Result<(R::Response, bool), ServiceError> {
         let started = Instant::now();
-        let mut config = request.config().copied().unwrap_or(self.config);
+        let options = request.options();
+        let mut config = options.config.unwrap_or(self.config);
         if sequential_solver {
             config.solver_threads = 1;
         }
 
-        let prior = Prior::new(request.prior_alpha()).map_err(|_| ServiceError::InvalidPrior {
-            value: request.prior_alpha(),
-        })?;
-        // An empty pool — like an unaffordable one — only admits the empty
-        // jury, so it is an error exactly when empty selections are not
-        // allowed (the paper facades allow them to keep the seed semantics,
-        // e.g. dataset replays over tasks nobody answered).
-        if request.pool().is_empty() && !request.empty_selection_allowed() {
-            return Err(ServiceError::EmptyPool);
-        }
-        let budget = request.budget();
-        if !budget.is_finite()
-            || budget < 0.0
-            || (budget == 0.0 && !request.empty_selection_allowed())
-        {
+        let prior = request.validate()?;
+        let budget = options.budget;
+        if !budget.is_finite() || budget < 0.0 || (budget == 0.0 && !options.allow_empty) {
             return Err(ServiceError::InvalidBudget { value: budget });
         }
         let cheapest = request
-            .pool()
-            .iter()
-            .map(|w| w.cost())
+            .costs()
             .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         if let Some(cheapest) = cheapest {
-            if cheapest > budget && !request.empty_selection_allowed() {
+            if cheapest > budget && !options.allow_empty {
                 return Err(ServiceError::BudgetBelowCheapestWorker { budget, cheapest });
             }
         }
 
-        let instance = JspInstance::new(request.pool().clone(), budget, prior)?;
-        let objective = CachedObjective::new(config.jq_engine(), request.strategy(), &self.cache);
-        let search_budget = Self::effective_budget(
-            started,
-            request.deadline(),
-            request.max_evaluations(),
+        let (pool, instance_prior, objective) = request.setup(prior, &config, &self.cache)?;
+        let instance = JspInstance::new(pool, budget, instance_prior)?;
+        let search_budget = Self::effective_budget(started, options, &config);
+        let result = self.dispatch_solver(
+            &instance,
+            &objective,
+            options.policy.clone(),
+            request.mv_baseline(),
             &config,
-        );
-        let result = self.run_solver(&instance, &objective, request, &config, search_budget)?;
+            search_budget,
+        )?;
 
         let truncated = result.truncated;
-        let response = SelectionResponse {
-            quality: result.objective_value,
-            cost: result.jury.cost(),
-            jury: result.jury,
-            strategy: request.strategy(),
-            policy: request.policy(),
-            solver: result.solver,
-            evaluations: objective.evaluations(),
-            cache_hits: objective.local_hits(),
-            elapsed: started.elapsed(),
-        };
-        if truncated {
-            return Err(ServiceError::DeadlineExceeded {
-                best_so_far: Some(Box::new(MixedResponse::Binary(response))),
-            });
-        }
-        Ok(response)
+        let response = request.respond(result, &objective, started.elapsed());
+        Ok((response, truncated))
     }
 
     /// The [`SearchBudget`] a request's deadline knobs induce, anchored at
@@ -279,36 +286,15 @@ impl JuryService {
     /// limit present on only one side still applies.
     fn effective_budget(
         started: Instant,
-        deadline: Option<Duration>,
-        max_evaluations: Option<u64>,
+        options: &RequestOptions,
         config: &ServiceConfig,
     ) -> SearchBudget {
-        Self::request_budget(started, deadline, max_evaluations).intersect(Self::request_budget(
+        let own = Self::request_budget(started, options.deadline, options.max_evaluations);
+        own.intersect(Self::request_budget(
             started,
             config.default_deadline,
             config.default_max_evaluations,
         ))
-    }
-
-    fn run_solver(
-        &self,
-        instance: &JspInstance,
-        objective: &CachedObjective<'_>,
-        request: &SelectionRequest,
-        config: &ServiceConfig,
-        search_budget: SearchBudget,
-    ) -> Result<SolverResult, ServiceError> {
-        // The MV baseline keeps its odd-size top-quality candidates on
-        // large `Auto` pools, exactly like the historical Mvjs system.
-        let mv_baseline = request.strategy() == Strategy::Mv;
-        self.dispatch_solver(
-            instance,
-            objective,
-            request.policy(),
-            mv_baseline,
-            config,
-            search_budget,
-        )
     }
 
     /// The one [`SolverPolicy`] dispatch behind both the binary and the
@@ -395,15 +381,16 @@ impl JuryService {
     /// Serves one **multi-class** (confusion-matrix) selection request —
     /// the Section 7 serving path.
     ///
-    /// Validation mirrors [`Self::select`]: a bad budget or prior vector
-    /// comes back as a [`ServiceError`] value, never a panic (an *empty*
-    /// pool cannot even be constructed — [`MatrixPool::new`] rejects it at
-    /// the model layer). The candidate set then travels through the same
-    /// [`SolverPolicy`] dispatch as binary requests — exhaustive
-    /// enumeration over the pool's mean-accuracy **shadow projection**,
-    /// simulated annealing, or marginal greedy — while every jury is scored
-    /// on its full confusion matrices: exactly for small voting spaces,
-    /// through the Section 7 tuple-key bucket DP otherwise, and via
+    /// The request runs through the same pipeline as [`Self::select`]: a
+    /// bad budget or prior vector comes back as a [`ServiceError`] value,
+    /// never a panic (an *empty* pool cannot even be constructed —
+    /// [`MatrixPool::new`] rejects it at the model layer). The candidate
+    /// set then travels through the same [`SolverPolicy`] dispatch as
+    /// binary requests — exhaustive enumeration over the pool's
+    /// mean-accuracy **shadow projection**, simulated annealing, or
+    /// marginal greedy — while every jury is scored on its full confusion
+    /// matrices: exactly for small voting spaces, through the Section 7
+    /// tuple-key bucket DP otherwise, and via
     /// `jury_jq::IncrementalMultiClassJq` sessions inside the search loops
     /// once the pool is past the measured scratch/incremental crossover
     /// ([`ServiceConfig::multiclass_session_cutoff`]). Batch evaluations
@@ -443,123 +430,7 @@ impl JuryService {
         &self,
         request: &MultiClassSelectionRequest,
     ) -> Result<MultiClassSelectionResponse, ServiceError> {
-        self.select_multiclass_inner(request, false)
-    }
-
-    /// [`Self::select_multiclass`] with the batch-over-solver thread
-    /// priority applied — same contract as [`Self::select_inner`].
-    fn select_multiclass_inner(
-        &self,
-        request: &MultiClassSelectionRequest,
-        sequential_solver: bool,
-    ) -> Result<MultiClassSelectionResponse, ServiceError> {
-        let started = Instant::now();
-        let mut config = request.config().copied().unwrap_or(self.config);
-        if sequential_solver {
-            config.solver_threads = 1;
-        }
-        let pool = request.pool();
-
-        let prior = match request.prior_probs() {
-            Some(probs) => CategoricalPrior::new(probs.to_vec())?,
-            None => CategoricalPrior::uniform(pool.num_choices())?,
-        };
-        // A prior whose label count disagrees with the pool's is rejected
-        // by `MultiClassJsp::new` below and surfaces as
-        // `ServiceError::InvalidPriorVector` through the `ModelError`
-        // conversion — no duplicate arity check here.
-        let budget = request.budget();
-        if !budget.is_finite()
-            || budget < 0.0
-            || (budget == 0.0 && !request.empty_selection_allowed())
-        {
-            return Err(ServiceError::InvalidBudget { value: budget });
-        }
-        let cheapest = pool
-            .iter()
-            .map(|w| w.cost())
-            .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        if let Some(cheapest) = cheapest {
-            if cheapest > budget && !request.empty_selection_allowed() {
-                return Err(ServiceError::BudgetBelowCheapestWorker { budget, cheapest });
-            }
-        }
-        let problem = MultiClassJsp::new(pool.clone(), budget, prior.clone())?;
-        let objective = CachedMultiClassObjective::new(pool, &prior, &config, &self.cache)?;
-        if request.policy() != SolverPolicy::Exact {
-            Self::check_multiclass_capacity(&objective, pool, &config)?;
-        }
-        // Same policy dispatch as the binary path (never the MV baseline —
-        // multi-class selection always optimizes Bayesian voting), running
-        // the solvers over the shadow instance while the cached objective
-        // scores the full matrices.
-        let search_budget = Self::effective_budget(
-            started,
-            request.deadline(),
-            request.max_evaluations(),
-            &config,
-        );
-        let result = self.dispatch_solver(
-            problem.instance(),
-            &objective,
-            request.policy(),
-            false,
-            &config,
-            search_budget,
-        )?;
-
-        // The objective's own resolution (borrowed members, foreign ids
-        // dropped) is the single source of truth for what was scored.
-        let members = objective
-            .members(&result.jury)
-            .into_iter()
-            .cloned()
-            .collect();
-        let truncated = result.truncated;
-        let response = MultiClassSelectionResponse {
-            quality: result.objective_value,
-            cost: result.jury.cost(),
-            members,
-            policy: request.policy(),
-            solver: result.solver,
-            evaluations: objective.evaluations(),
-            cache_hits: objective.local_hits(),
-            elapsed: started.elapsed(),
-        };
-        if truncated {
-            return Err(ServiceError::DeadlineExceeded {
-                best_so_far: Some(Box::new(MixedResponse::MultiClass(response))),
-            });
-        }
-        Ok(response)
-    }
-
-    /// Whether a multi-class pool of this size can be served at all under
-    /// the configured cell budget: when the search would *require*
-    /// incremental sessions (past both the session crossover and the exact
-    /// voting-space cutoff) but even a one-bucket-per-worker grid overflows
-    /// `max_cells`, refuse with a typed error instead of silently running
-    /// the exponential scratch DP on the serving path.
-    fn check_multiclass_capacity(
-        objective: &CachedMultiClassObjective<'_>,
-        pool: &MatrixPool,
-        config: &ServiceConfig,
-    ) -> Result<(), ServiceError> {
-        // Both halves of the decision live at their own layers: the
-        // objective owns the session-gating rule, the incremental config
-        // owns the grid geometry — the service only combines them.
-        if objective.session_required(pool.len())
-            && config
-                .multiclass_incremental
-                .resolve_buckets(pool.len(), pool.num_choices())
-                .is_none()
-        {
-            return Err(ServiceError::MultiClassStateTooLarge {
-                cells: MultiClassIncrementalConfig::min_cells(pool.len(), pool.num_choices()),
-                max: config.multiclass_incremental.max_cells as u64,
-            });
-        }
-        Ok(())
+        self.serve_one(request, false)
     }
 
     /// The shared thread-parallel batch engine behind [`Self::select_batch`]
@@ -633,17 +504,18 @@ impl JuryService {
     /// in-flight counter is taken for the duration of the serve, and a
     /// request arriving over capacity is either rejected immediately
     /// ([`OverloadPolicy::Shed`]) or served in coarsened mode
-    /// ([`OverloadPolicy::Coarsen`] — the closure's flag).
-    fn serve_gated<T, R>(
+    /// ([`OverloadPolicy::Coarsen`]).
+    fn serve_gated<R: Serve>(
         &self,
-        item: &T,
+        request: &R,
         counters: &AdmissionCounters,
-        serve: impl Fn(&T, bool) -> Result<R, ServiceError>,
-    ) -> Result<R, ServiceError> {
+        sequential_solver: bool,
+    ) -> Result<R::Response, ServiceError> {
+        let serve = |coarsen| request.serve(self, sequential_solver, coarsen);
         let max_in_flight = self.config.max_in_flight;
         if max_in_flight == 0 {
             counters.admitted.fetch_add(1, Ordering::Relaxed);
-            return serve(item, false);
+            return serve(false);
         }
         let occupied = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         let _slot = InFlightGuard(&self.in_flight);
@@ -652,7 +524,7 @@ impl JuryService {
             .fetch_max(occupied, Ordering::Relaxed);
         if occupied <= max_in_flight {
             counters.admitted.fetch_add(1, Ordering::Relaxed);
-            serve(item, false)
+            serve(false)
         } else {
             match self.config.overload {
                 OverloadPolicy::Shed => {
@@ -664,9 +536,26 @@ impl JuryService {
                 }
                 OverloadPolicy::Coarsen => {
                     counters.coarsened.fetch_add(1, Ordering::Relaxed);
-                    serve(item, true)
+                    serve(true)
                 }
             }
+        }
+    }
+
+    /// The one gated batch body behind every batch entry point: each slot
+    /// passes the admission gate, whatever its kind.
+    fn serve_batch<R: Serve>(&self, requests: &[R]) -> BatchOutcome<R::Response> {
+        let counters = AdmissionCounters::default();
+        // Batch wins the cores: once the batch itself fans out across
+        // worker threads, each slot's solver runs its lanes sequentially
+        // rather than oversubscribing (see `ServiceConfig::solver_threads`).
+        let sequential_solver = self.batch_threads(requests.len()) > 1;
+        let results = self.run_batch(requests, |request| {
+            self.serve_gated(request, &counters, sequential_solver)
+        });
+        BatchOutcome {
+            results,
+            metrics: counters.into_metrics(self.cache.shard_stats()),
         }
     }
 
@@ -681,7 +570,7 @@ impl JuryService {
         &self,
         requests: &[SelectionRequest],
     ) -> Vec<Result<SelectionResponse, ServiceError>> {
-        self.select_batch_with_metrics(requests).results
+        self.serve_batch(requests).results
     }
 
     /// [`Self::select_batch`] plus the batch's [`BatchMetrics`]: admission
@@ -704,27 +593,7 @@ impl JuryService {
         &self,
         requests: &[SelectionRequest],
     ) -> BatchOutcome<SelectionResponse> {
-        let counters = AdmissionCounters::default();
-        // Batch wins the cores: once the batch itself fans out across
-        // worker threads, each slot's solver runs its lanes sequentially
-        // rather than oversubscribing (see `ServiceConfig::solver_threads`).
-        let sequential_solver = self.batch_threads(requests.len()) > 1;
-        let results = self.run_batch(requests, |request| {
-            self.serve_gated(request, &counters, |request, coarsen| {
-                if coarsen {
-                    self.select_inner(
-                        &request.clone().with_policy(SolverPolicy::Greedy),
-                        sequential_solver,
-                    )
-                } else {
-                    self.select_inner(request, sequential_solver)
-                }
-            })
-        });
-        BatchOutcome {
-            results,
-            metrics: counters.into_metrics(self.cache.shard_stats()),
-        }
+        self.serve_batch(requests)
     }
 
     /// Serves a batch of multi-class requests through the same
@@ -735,20 +604,7 @@ impl JuryService {
         &self,
         requests: &[MultiClassSelectionRequest],
     ) -> Vec<Result<MultiClassSelectionResponse, ServiceError>> {
-        let counters = AdmissionCounters::default();
-        let sequential_solver = self.batch_threads(requests.len()) > 1;
-        self.run_batch(requests, |request| {
-            self.serve_gated(request, &counters, |request, coarsen| {
-                if coarsen {
-                    self.select_multiclass_inner(
-                        &request.clone().with_policy(SolverPolicy::Greedy),
-                        sequential_solver,
-                    )
-                } else {
-                    self.select_multiclass_inner(request, sequential_solver)
-                }
-            })
-        })
+        self.serve_batch(requests).results
     }
 
     /// Serves a **mixed** batch — binary and multi-class requests side by
@@ -776,7 +632,7 @@ impl JuryService {
         &self,
         requests: &[MixedRequest],
     ) -> Vec<Result<MixedResponse, ServiceError>> {
-        self.select_mixed_batch_with_metrics(requests).results
+        self.serve_batch(requests).results
     }
 
     /// [`Self::select_mixed_batch`] plus the batch's [`BatchMetrics`] —
@@ -811,34 +667,7 @@ impl JuryService {
         &self,
         requests: &[MixedRequest],
     ) -> BatchOutcome<MixedResponse> {
-        let counters = AdmissionCounters::default();
-        let sequential_solver = self.batch_threads(requests.len()) > 1;
-        let results = self.run_batch(requests, |request| {
-            self.serve_gated(request, &counters, |request, coarsen| match request {
-                MixedRequest::Binary(request) => if coarsen {
-                    self.select_inner(
-                        &request.clone().with_policy(SolverPolicy::Greedy),
-                        sequential_solver,
-                    )
-                } else {
-                    self.select_inner(request, sequential_solver)
-                }
-                .map(MixedResponse::Binary),
-                MixedRequest::MultiClass(request) => if coarsen {
-                    self.select_multiclass_inner(
-                        &request.clone().with_policy(SolverPolicy::Greedy),
-                        sequential_solver,
-                    )
-                } else {
-                    self.select_multiclass_inner(request, sequential_solver)
-                }
-                .map(MixedResponse::MultiClass),
-            })
-        });
-        BatchOutcome {
-            results,
-            metrics: counters.into_metrics(self.cache.shard_stats()),
-        }
+        self.serve_batch(requests)
     }
 
     fn batch_threads(&self, batch_len: usize) -> usize {
@@ -852,7 +681,7 @@ impl JuryService {
     /// Builds the Figure-1 style budget–quality table.
     ///
     /// Pools within the exact cutoff are served one selection per budget
-    /// through [`Self::select_batch`] (parallel, cached, BV strategy, `Auto`
+    /// through the batch engine (parallel, cached, BV strategy, `Auto`
     /// policy), so small tables stay exhaustively optimal. Larger pools —
     /// where every budget would otherwise pay a full heuristic search — are
     /// served according to the configured [`SweepPolicy`]:
@@ -866,18 +695,21 @@ impl JuryService {
     ///   ([`jury_selection::BudgetQualityTable::build_warm_annealing`]),
     ///   for quality-critical sweeps on heterogeneous costs;
     /// * [`SweepPolicy::Cold`] — one full solve per budget through the
-    ///   batch path.
+    ///   batch engine.
     ///
-    /// Every warm row is re-scored through this service's cached batch
-    /// objective. Budgets below the cheapest worker yield empty-jury rows,
-    /// matching the table's exploratory semantics.
+    /// A table is **one call**: its per-budget rows never pass the batch
+    /// admission gate ([`ServiceConfig::max_in_flight`]), so they are
+    /// neither shed nor coarsened. Every warm row is re-scored through this
+    /// service's cached batch objective. Budgets below the cheapest worker
+    /// yield empty-jury rows, matching the table's exploratory semantics.
     pub fn budget_quality_table(
         &self,
         pool: &WorkerPool,
         budgets: &[f64],
         prior: Prior,
     ) -> Result<BudgetQualityTable, ServiceError> {
-        self.budget_table_budgeted(pool, budgets, prior, SearchBudget::unlimited())
+        let template = SelectionRequest::new(pool.clone(), 0.0).with_prior(prior);
+        self.budget_table(template, budgets, SearchBudget::unlimited())
             .map(|(table, _)| table)
     }
 
@@ -896,113 +728,12 @@ impl JuryService {
         prior: Prior,
         deadline: Duration,
     ) -> Result<(BudgetQualityTable, bool), ServiceError> {
-        self.budget_table_budgeted(
-            pool,
+        let template = SelectionRequest::new(pool.clone(), 0.0).with_prior(prior);
+        self.budget_table(
+            template,
             budgets,
-            prior,
             SearchBudget::unlimited().with_deadline_in(deadline),
         )
-    }
-
-    fn budget_table_budgeted(
-        &self,
-        pool: &WorkerPool,
-        budgets: &[f64],
-        prior: Prior,
-        search_budget: SearchBudget,
-    ) -> Result<(BudgetQualityTable, bool), ServiceError> {
-        let beyond_exact = pool.len() > self.config.exact_cutoff.min(MAX_EXHAUSTIVE_POOL);
-        if beyond_exact && self.config.sweep != SweepPolicy::Cold {
-            Self::validate_sweep_budgets(budgets)?;
-            let objective =
-                CachedObjective::new(self.config.jq_engine(), Strategy::Bv, &self.cache);
-            return Ok(match self.config.sweep {
-                SweepPolicy::WarmMarginal => BudgetQualityTable::build_warm_budgeted(
-                    pool,
-                    budgets,
-                    prior,
-                    &objective,
-                    search_budget,
-                ),
-                SweepPolicy::WarmAnnealing => BudgetQualityTable::build_warm_annealing_budgeted(
-                    pool,
-                    budgets,
-                    prior,
-                    &objective,
-                    self.config.annealing,
-                    search_budget,
-                ),
-                SweepPolicy::Cold => unreachable!("cold sweeps take the batch path"),
-            });
-        }
-        // Batch path: per-budget requests. Without a deadline they are
-        // served thread-parallel as one batch. Under a sweep deadline the
-        // rows are served sequentially instead, each granted an equal share
-        // of the time *still remaining* — recomputed after every completed
-        // row, so time a fast row leaves unspent is reclaimed by the rows
-        // behind it and the whole sweep is bounded by the one deadline
-        // (handing every row the full remainder up front would let the
-        // sweep run for rows × deadline). Rows that exhaust their share
-        // keep their anytime best-so-far jury and flip the truncation flag
-        // instead of erroring.
-        let build_request = |budget: f64| {
-            let mut request = SelectionRequest::new(pool.clone(), budget)
-                .with_prior(prior)
-                .allow_empty_selection(true);
-            if let Some(max) = search_budget.max_evaluations() {
-                request = request.with_evaluation_limit(max);
-            }
-            request
-        };
-        let results: Vec<Result<SelectionResponse, ServiceError>> = match search_budget.deadline() {
-            Some(at) => budgets
-                .iter()
-                .enumerate()
-                .map(|(row, &budget)| {
-                    let rows_left = (budgets.len() - row) as u32;
-                    let share = at.saturating_duration_since(Instant::now()) / rows_left;
-                    self.select(&build_request(budget).with_deadline(share))
-                })
-                .collect(),
-            None => {
-                let requests: Vec<SelectionRequest> = budgets
-                    .iter()
-                    .map(|&budget| build_request(budget))
-                    .collect();
-                self.select_batch(&requests)
-            }
-        };
-        let mut truncated = false;
-        let rows = results
-            .into_iter()
-            .zip(budgets)
-            .map(|(result, &budget)| {
-                let response = match result {
-                    Ok(response) => response,
-                    Err(ServiceError::DeadlineExceeded {
-                        best_so_far: Some(best),
-                    }) => match *best {
-                        MixedResponse::Binary(response) => {
-                            truncated = true;
-                            response
-                        }
-                        other => {
-                            return Err(ServiceError::DeadlineExceeded {
-                                best_so_far: Some(Box::new(other)),
-                            })
-                        }
-                    },
-                    Err(err) => return Err(err),
-                };
-                Ok(BudgetQualityRow {
-                    budget,
-                    jury: response.worker_ids(),
-                    quality: response.quality,
-                    required_budget: response.cost,
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((BudgetQualityTable::from_rows(rows), truncated))
     }
 
     /// Builds the budget–quality table for a **multi-class**
@@ -1016,15 +747,16 @@ impl JuryService {
     /// objective looks the matrices back up by id), carrying one search
     /// state — and one `IncrementalMultiClassJq` session, past the
     /// crossover cutoff — across ascending budgets. Small pools are solved
-    /// per budget through [`Self::select_multiclass_batch`], exhaustively
-    /// within the exact cutoff.
+    /// per budget through the batch engine, exhaustively within the exact
+    /// cutoff.
     pub fn multiclass_budget_quality_table(
         &self,
         pool: &MatrixPool,
         budgets: &[f64],
         prior: &CategoricalPrior,
     ) -> Result<BudgetQualityTable, ServiceError> {
-        self.multiclass_budget_table_budgeted(pool, budgets, prior, SearchBudget::unlimited())
+        let template = MultiClassSelectionRequest::new(pool.clone(), 0.0).with_prior(prior.clone());
+        self.budget_table(template, budgets, SearchBudget::unlimited())
             .map(|(table, _)| table)
     }
 
@@ -1039,44 +771,46 @@ impl JuryService {
         prior: &CategoricalPrior,
         deadline: Duration,
     ) -> Result<(BudgetQualityTable, bool), ServiceError> {
-        self.multiclass_budget_table_budgeted(
-            pool,
+        let template = MultiClassSelectionRequest::new(pool.clone(), 0.0).with_prior(prior.clone());
+        self.budget_table(
+            template,
             budgets,
-            prior,
             SearchBudget::unlimited().with_deadline_in(deadline),
         )
     }
 
-    fn multiclass_budget_table_budgeted(
+    /// The one budget–quality sweep behind both kinds' table entry points.
+    /// `template` carries the pool and the prior; each cold row is the
+    /// template at that row's budget.
+    fn budget_table<R: SelectKind>(
         &self,
-        pool: &MatrixPool,
+        mut template: R,
         budgets: &[f64],
-        prior: &CategoricalPrior,
         search_budget: SearchBudget,
     ) -> Result<(BudgetQualityTable, bool), ServiceError> {
-        let beyond_exact = pool.len() > self.config.exact_cutoff.min(MAX_EXHAUSTIVE_POOL);
+        let beyond_exact =
+            template.costs().count() > self.config.exact_cutoff.min(MAX_EXHAUSTIVE_POOL);
         if beyond_exact && self.config.sweep != SweepPolicy::Cold {
-            Self::validate_sweep_budgets(budgets)?;
-            // A prior/pool label-count mismatch is rejected by the objective
-            // constructor and surfaces as `ServiceError::InvalidPriorVector`
-            // through the `ModelError` conversion.
-            let objective = CachedMultiClassObjective::new(pool, prior, &self.config, &self.cache)?;
-            Self::check_multiclass_capacity(&objective, pool, &self.config)?;
-            let shadow = pool.shadow_pool();
-            // The binary prior slot of the shadow instances is unused — the
-            // categorical prior is part of the objective's identity.
+            // The warm sweep builders assert on bad budgets (their
+            // per-budget instances would); checking them up front keeps the
+            // table entry points' no-panic contract.
+            if let Some(&value) = budgets.iter().find(|b| !b.is_finite() || **b < 0.0) {
+                return Err(ServiceError::InvalidBudget { value });
+            }
+            let prior = template.validate()?;
+            let (pool, prior, objective) = template.setup(prior, &self.config, &self.cache)?;
             return Ok(match self.config.sweep {
                 SweepPolicy::WarmMarginal => BudgetQualityTable::build_warm_budgeted(
-                    &shadow,
+                    &pool,
                     budgets,
-                    Prior::uniform(),
+                    prior,
                     &objective,
                     search_budget,
                 ),
                 SweepPolicy::WarmAnnealing => BudgetQualityTable::build_warm_annealing_budgeted(
-                    &shadow,
+                    &pool,
                     budgets,
-                    Prior::uniform(),
+                    prior,
                     &objective,
                     self.config.annealing,
                     search_budget,
@@ -1084,80 +818,350 @@ impl JuryService {
                 SweepPolicy::Cold => unreachable!("cold sweeps take the batch path"),
             });
         }
-        // Same per-row deadline redistribution as the binary table path:
-        // sequential rows under a deadline, each granted an equal share of
-        // the time still remaining so unspent time flows to later rows.
-        let build_request = |budget: f64| {
-            let mut request = MultiClassSelectionRequest::new(pool.clone(), budget)
-                .with_prior(prior.clone())
-                .allow_empty_selection(true);
-            if let Some(max) = search_budget.max_evaluations() {
-                request = request.with_evaluation_limit(max);
-            }
+        // Batch path: per-budget requests, straight to the batch engine
+        // (the table is one call, so its rows skip the admission gate).
+        // Without a deadline they are served thread-parallel. Under a sweep
+        // deadline the rows are served sequentially instead, each granted
+        // an equal share of the time *still remaining* — recomputed after
+        // every completed row, so time a fast row leaves unspent is
+        // reclaimed by the rows behind it and the whole sweep is bounded by
+        // the one deadline (handing every row the full remainder up front
+        // would let the sweep run for rows × deadline). Rows that exhaust
+        // their share keep their anytime jury and flip the truncation flag
+        // instead of erroring.
+        let options = template.options_mut();
+        options.allow_empty = true;
+        options.max_evaluations = search_budget.max_evaluations();
+        let row_request = |budget: f64| {
+            let mut request = template.clone();
+            request.options_mut().budget = budget;
             request
         };
-        let results: Vec<Result<MultiClassSelectionResponse, ServiceError>> =
-            match search_budget.deadline() {
-                Some(at) => budgets
-                    .iter()
-                    .enumerate()
-                    .map(|(row, &budget)| {
-                        let rows_left = (budgets.len() - row) as u32;
-                        let share = at.saturating_duration_since(Instant::now()) / rows_left;
-                        self.select_multiclass(&build_request(budget).with_deadline(share))
-                    })
-                    .collect(),
-                None => {
-                    let requests: Vec<MultiClassSelectionRequest> = budgets
-                        .iter()
-                        .map(|&budget| build_request(budget))
-                        .collect();
-                    self.select_multiclass_batch(&requests)
-                }
-            };
+        let results: Vec<Result<(R::Response, bool), ServiceError>> = match search_budget.deadline()
+        {
+            Some(at) => budgets
+                .iter()
+                .enumerate()
+                .map(|(row, &budget)| {
+                    let rows_left = (budgets.len() - row) as u32;
+                    let mut request = row_request(budget);
+                    request.options_mut().deadline =
+                        Some(at.saturating_duration_since(Instant::now()) / rows_left);
+                    self.serve_anytime(&request, false)
+                })
+                .collect(),
+            None => {
+                let requests: Vec<R> = budgets.iter().map(|&budget| row_request(budget)).collect();
+                let sequential_solver = self.batch_threads(requests.len()) > 1;
+                self.run_batch(&requests, |request| {
+                    self.serve_anytime(request, sequential_solver)
+                })
+            }
+        };
         let mut truncated = false;
         let rows = results
             .into_iter()
             .zip(budgets)
             .map(|(result, &budget)| {
-                let response = match result {
-                    Ok(response) => response,
-                    Err(ServiceError::DeadlineExceeded {
-                        best_so_far: Some(best),
-                    }) => match *best {
-                        MixedResponse::MultiClass(response) => {
-                            truncated = true;
-                            response
-                        }
-                        other => {
-                            return Err(ServiceError::DeadlineExceeded {
-                                best_so_far: Some(Box::new(other)),
-                            })
-                        }
-                    },
-                    Err(err) => return Err(err),
-                };
-                Ok(BudgetQualityRow {
-                    budget,
-                    jury: response.worker_ids(),
-                    quality: response.quality,
-                    required_budget: response.cost,
-                })
+                let (response, cut) = result?;
+                truncated |= cut;
+                Ok(R::table_row(response, budget))
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, ServiceError>>()?;
         Ok((BudgetQualityTable::from_rows(rows), truncated))
     }
+}
 
-    /// The warm sweep builders assert on bad budgets (their per-budget
-    /// instances would); the service validates them up front so the table
-    /// entry points keep the no-panic contract.
-    fn validate_sweep_budgets(budgets: &[f64]) -> Result<(), ServiceError> {
-        for &budget in budgets {
-            if !budget.is_finite() || budget < 0.0 {
-                return Err(ServiceError::InvalidBudget { value: budget });
-            }
+/// The kind-specific half of the one serving pipeline
+/// ([`JuryService::serve_anytime`], [`JuryService::budget_table`]): how a
+/// request kind validates its prior, builds its cache-backed objective and
+/// the candidate pool the solvers search, and shapes its response. Static
+/// dispatch throughout — the objective is a concrete type per kind, so the
+/// per-evaluation path stays monomorphized.
+trait SelectKind: Clone + Sync {
+    /// The validated prior.
+    type Prior;
+    /// The cache-backed objective, borrowing the service's JQ store.
+    type Objective<'c>: JuryObjective;
+    /// What a served request returns.
+    type Response: Send;
+
+    /// The knobs every request kind shares.
+    fn options(&self) -> &RequestOptions;
+    fn options_mut(&mut self) -> &mut RequestOptions;
+
+    /// The candidates' costs (one per pool member).
+    fn costs(&self) -> impl Iterator<Item = f64> + '_;
+
+    /// The kind's checks that precede the shared budget checks, yielding
+    /// the validated prior.
+    fn validate(&self) -> Result<Self::Prior, ServiceError>;
+
+    /// The objective, plus the pool and binary prior the solvers search.
+    fn setup<'c>(
+        &self,
+        prior: Self::Prior,
+        config: &ServiceConfig,
+        cache: &'c JqCache,
+    ) -> Result<(WorkerPool, Prior, Self::Objective<'c>), ServiceError>;
+
+    /// Whether large `Auto` pools route through the MVJS baseline.
+    fn mv_baseline(&self) -> bool {
+        false
+    }
+
+    /// The response for a solver result scored by `objective`.
+    fn respond(
+        &self,
+        result: SolverResult,
+        objective: &Self::Objective<'_>,
+        elapsed: Duration,
+    ) -> Self::Response;
+
+    /// Wraps a response as the `best_so_far` of a `DeadlineExceeded`.
+    fn into_mixed(response: Self::Response) -> MixedResponse;
+
+    /// The budget–quality table row a response fills.
+    fn table_row(response: Self::Response, budget: f64) -> BudgetQualityRow;
+
+    /// The request with its solver policy replaced.
+    fn with_policy(mut self, policy: SolverPolicy) -> Self {
+        self.options_mut().policy = policy;
+        self
+    }
+}
+
+impl SelectKind for SelectionRequest {
+    type Prior = Prior;
+    type Objective<'c> = CachedObjective<'c>;
+    type Response = SelectionResponse;
+
+    fn options(&self) -> &RequestOptions {
+        &self.options
+    }
+
+    fn options_mut(&mut self) -> &mut RequestOptions {
+        &mut self.options
+    }
+
+    fn costs(&self) -> impl Iterator<Item = f64> + '_ {
+        self.pool().iter().map(|w| w.cost())
+    }
+
+    fn validate(&self) -> Result<Prior, ServiceError> {
+        let prior = Prior::new(self.prior_alpha()).map_err(|_| ServiceError::InvalidPrior {
+            value: self.prior_alpha(),
+        })?;
+        // An empty pool — like an unaffordable one — only admits the empty
+        // jury, so it is an error exactly when empty selections are not
+        // allowed (the paper facades allow them to keep the seed semantics,
+        // e.g. dataset replays over tasks nobody answered).
+        if self.pool().is_empty() && !self.empty_selection_allowed() {
+            return Err(ServiceError::EmptyPool);
         }
-        Ok(())
+        Ok(prior)
+    }
+
+    fn setup<'c>(
+        &self,
+        prior: Prior,
+        config: &ServiceConfig,
+        cache: &'c JqCache,
+    ) -> Result<(WorkerPool, Prior, CachedObjective<'c>), ServiceError> {
+        let objective = CachedObjective::new(config.jq_engine(), self.strategy(), cache);
+        Ok((self.pool().clone(), prior, objective))
+    }
+
+    fn mv_baseline(&self) -> bool {
+        // The MV baseline keeps its odd-size top-quality candidates on
+        // large `Auto` pools, exactly like the historical Mvjs system.
+        self.strategy() == Strategy::Mv
+    }
+
+    fn respond(
+        &self,
+        result: SolverResult,
+        objective: &CachedObjective<'_>,
+        elapsed: Duration,
+    ) -> SelectionResponse {
+        SelectionResponse {
+            quality: result.objective_value,
+            cost: result.jury.cost(),
+            jury: result.jury,
+            strategy: self.strategy(),
+            policy: self.policy(),
+            solver: result.solver,
+            evaluations: objective.evaluations(),
+            cache_hits: objective.local_hits(),
+            elapsed,
+        }
+    }
+
+    fn into_mixed(response: SelectionResponse) -> MixedResponse {
+        MixedResponse::Binary(response)
+    }
+
+    fn table_row(response: SelectionResponse, budget: f64) -> BudgetQualityRow {
+        BudgetQualityRow {
+            budget,
+            jury: response.worker_ids(),
+            quality: response.quality,
+            required_budget: response.cost,
+        }
+    }
+}
+
+impl SelectKind for MultiClassSelectionRequest {
+    type Prior = CategoricalPrior;
+    type Objective<'c> = CachedMultiClassObjective<'c>;
+    type Response = MultiClassSelectionResponse;
+
+    fn options(&self) -> &RequestOptions {
+        &self.options
+    }
+
+    fn options_mut(&mut self) -> &mut RequestOptions {
+        &mut self.options
+    }
+
+    fn costs(&self) -> impl Iterator<Item = f64> + '_ {
+        self.pool().iter().map(|w| w.cost())
+    }
+
+    fn validate(&self) -> Result<CategoricalPrior, ServiceError> {
+        // A prior whose label count disagrees with the pool's is rejected
+        // by the objective constructor in `setup` and surfaces as
+        // `ServiceError::InvalidPriorVector` through the `ModelError`
+        // conversion — no duplicate arity check here.
+        Ok(match self.prior_probs() {
+            Some(probs) => CategoricalPrior::new(probs.to_vec())?,
+            None => CategoricalPrior::uniform(self.pool().num_choices())?,
+        })
+    }
+
+    fn setup<'c>(
+        &self,
+        prior: CategoricalPrior,
+        config: &ServiceConfig,
+        cache: &'c JqCache,
+    ) -> Result<(WorkerPool, Prior, CachedMultiClassObjective<'c>), ServiceError> {
+        let pool = self.pool();
+        let objective = CachedMultiClassObjective::new(pool, &prior, config, cache)?;
+        // A pool whose search would *require* incremental sessions (past
+        // both the session crossover and the exact voting-space cutoff) but
+        // whose coarsest grid overflows `max_cells` is refused with a typed
+        // error instead of silently running the exponential scratch DP. The
+        // objective owns the session-gating rule, the incremental config
+        // owns the grid geometry — this only combines them.
+        if self.policy() != SolverPolicy::Exact
+            && objective.session_required(pool.len())
+            && config
+                .multiclass_incremental
+                .resolve_buckets(pool.len(), pool.num_choices())
+                .is_none()
+        {
+            return Err(ServiceError::MultiClassStateTooLarge {
+                cells: MultiClassIncrementalConfig::min_cells(pool.len(), pool.num_choices()),
+                max: config.multiclass_incremental.max_cells as u64,
+            });
+        }
+        // The solvers move the shadow projection's `(id, cost)` candidates;
+        // its binary prior slot is unused — the categorical prior is part
+        // of the objective's identity.
+        Ok((pool.shadow_pool(), Prior::uniform(), objective))
+    }
+
+    fn respond(
+        &self,
+        result: SolverResult,
+        objective: &CachedMultiClassObjective<'_>,
+        elapsed: Duration,
+    ) -> MultiClassSelectionResponse {
+        // The objective's own resolution (borrowed members, foreign ids
+        // dropped) is the single source of truth for what was scored.
+        let members = objective
+            .members(&result.jury)
+            .into_iter()
+            .cloned()
+            .collect();
+        MultiClassSelectionResponse {
+            quality: result.objective_value,
+            cost: result.jury.cost(),
+            members,
+            policy: self.policy(),
+            solver: result.solver,
+            evaluations: objective.evaluations(),
+            cache_hits: objective.local_hits(),
+            elapsed,
+        }
+    }
+
+    fn into_mixed(response: MultiClassSelectionResponse) -> MixedResponse {
+        MixedResponse::MultiClass(response)
+    }
+
+    fn table_row(response: MultiClassSelectionResponse, budget: f64) -> BudgetQualityRow {
+        BudgetQualityRow {
+            budget,
+            jury: response.worker_ids(),
+            quality: response.quality,
+            required_budget: response.cost,
+        }
+    }
+}
+
+/// A slot of the gated batch body ([`JuryService::serve_batch`]): either
+/// request kind, or a [`MixedRequest`] forwarding to the kind it holds.
+trait Serve: Sync {
+    /// What a served slot returns.
+    type Response: Send;
+
+    /// Serves the slot; a `coarsen`ed slot (over the admission limit under
+    /// [`OverloadPolicy::Coarsen`]) runs with its solver policy downgraded
+    /// to greedy.
+    fn serve(
+        &self,
+        service: &JuryService,
+        sequential_solver: bool,
+        coarsen: bool,
+    ) -> Result<Self::Response, ServiceError>;
+}
+
+impl<R: SelectKind> Serve for R {
+    type Response = R::Response;
+
+    fn serve(
+        &self,
+        service: &JuryService,
+        sequential_solver: bool,
+        coarsen: bool,
+    ) -> Result<R::Response, ServiceError> {
+        if coarsen {
+            let coarsened = self.clone().with_policy(SolverPolicy::Greedy);
+            service.serve_one(&coarsened, sequential_solver)
+        } else {
+            service.serve_one(self, sequential_solver)
+        }
+    }
+}
+
+impl Serve for MixedRequest {
+    type Response = MixedResponse;
+
+    fn serve(
+        &self,
+        service: &JuryService,
+        sequential_solver: bool,
+        coarsen: bool,
+    ) -> Result<MixedResponse, ServiceError> {
+        match self {
+            MixedRequest::Binary(request) => request
+                .serve(service, sequential_solver, coarsen)
+                .map(MixedResponse::Binary),
+            MixedRequest::MultiClass(request) => request
+                .serve(service, sequential_solver, coarsen)
+                .map(MixedResponse::MultiClass),
+        }
     }
 }
 

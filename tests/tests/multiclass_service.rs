@@ -5,14 +5,18 @@
 //! `jury_selection::MultiClassJsp` solves — plus the per-kind cache
 //! accounting of the shared store and every documented error path.
 
+use std::time::{Duration, Instant};
+
+use jury_jq::exact_multiclass_bv_jq;
 use jury_model::{CategoricalPrior, MatrixPool, ModelError};
 use jury_selection::{
     AnnealingSolver, ExhaustiveSolver, GreedyMarginalSolver, GreedyQualitySolver,
     GreedyRatioSolver, JurySolver, MultiClassJsp,
 };
 use jury_service::{
-    JuryService, MixedRequest, MultiClassSelectionRequest, SelectionRequest, ServiceConfig,
-    ServiceError, SolverPolicy, SweepPolicy,
+    JuryService, MixedRequest, MixedResponse, MultiClassSelectionRequest,
+    MultiClassSelectionResponse, OverloadPolicy, SelectionRequest, ServiceConfig, ServiceError,
+    SolverPolicy, SweepPolicy,
 };
 
 fn small_pool() -> MatrixPool {
@@ -337,4 +341,135 @@ fn warm_and_cold_multiclass_sweeps_agree_on_uniform_costs() {
         .unwrap_err(),
         ServiceError::InvalidPriorVector { .. }
     ));
+}
+
+/// Asserts a multi-class response is a valid selection from `pool` under
+/// `budget`: distinct pool members, the reported cost is their cost, and
+/// the reported quality is their exact `JQ(BV)` (budget ≤ 4 on
+/// `large_pool` keeps juries at most four strong, well inside the exact
+/// voting cutoff the objective enumerates under).
+fn assert_feasible(response: &MultiClassSelectionResponse, pool: &MatrixPool, budget: f64) {
+    let ids = response.worker_ids();
+    let mut distinct = ids.clone();
+    distinct.dedup();
+    assert_eq!(distinct, ids, "members must be distinct");
+    let cost: f64 = ids.iter().map(|&id| pool.get(id).unwrap().cost()).sum();
+    assert!((cost - response.cost).abs() < 1e-9);
+    assert!(response.cost <= budget + 1e-9);
+    let jury = response.matrix_jury().expect("a non-empty jury");
+    let exact = exact_multiclass_bv_jq(&jury, &uniform3()).unwrap();
+    assert!(
+        (response.quality - exact).abs() < 1e-9,
+        "reported {} vs exact {exact}",
+        response.quality
+    );
+}
+
+#[test]
+fn evaluation_cap_beyond_the_cutoff_returns_a_feasible_multiclass_best_so_far() {
+    // Past the exact cutoff the annealing search polls its budget; a tiny
+    // evaluation cap trips it deterministically (no clock involved).
+    let pool = large_pool(16);
+    let service = JuryService::new(ServiceConfig::fast());
+    let full = service
+        .select_multiclass(&MultiClassSelectionRequest::new(pool.clone(), 4.0))
+        .unwrap();
+    let err = service
+        .select_multiclass(
+            &MultiClassSelectionRequest::new(pool.clone(), 4.0).with_evaluation_limit(3),
+        )
+        .unwrap_err();
+    let ServiceError::DeadlineExceeded {
+        best_so_far: Some(best),
+    } = err
+    else {
+        panic!("expected DeadlineExceeded with a partial result, got {err}");
+    };
+    let MixedResponse::MultiClass(partial) = *best else {
+        panic!("a multi-class request must yield a multi-class partial result");
+    };
+    assert_eq!(partial.policy, SolverPolicy::Auto);
+    assert_eq!(partial.solver, "simulated-annealing");
+    assert_feasible(&partial, &pool, 4.0);
+    assert!(
+        partial.evaluations < full.evaluations,
+        "truncated search spent {} evaluations, full solve {}",
+        partial.evaluations,
+        full.evaluations
+    );
+    assert!(full.quality >= partial.quality - 1e-9);
+}
+
+#[test]
+fn multiclass_table_deadline_is_shared_across_rows_not_multiplied() {
+    // The multi-class twin of the binary table-deadline regression test:
+    // cold rows are served sequentially, each granted a share of the time
+    // still remaining, so the whole sweep stays bounded by the one
+    // deadline (plus per-row checkpoint overrun) instead of rows × deadline.
+    let deadline = Duration::from_millis(50);
+    let budgets: Vec<f64> = (1..=12).map(|b| 1.0 + 0.25 * b as f64).collect();
+    let pool = large_pool(400);
+    let service = JuryService::new(
+        ServiceConfig::fast()
+            .with_sweep_policy(SweepPolicy::Cold)
+            .with_multiclass_session_cutoff(pool.len()),
+    );
+    let started = Instant::now();
+    let (table, truncated) = service
+        .multiclass_budget_quality_table_with_deadline(&pool, &budgets, &uniform3(), deadline)
+        .unwrap();
+    let elapsed = started.elapsed();
+    assert!(truncated, "rows should have been cut short");
+    assert_eq!(table.rows().len(), budgets.len());
+    for row in table.rows() {
+        assert!(row.required_budget <= row.budget + 1e-9);
+    }
+    assert!(
+        elapsed < 6 * deadline,
+        "sweep took {elapsed:?}; a per-row deadline would run for ~12 × {deadline:?}"
+    );
+}
+
+#[test]
+fn coarsened_multiclass_batch_slots_serve_the_greedy_answer() {
+    let pool = large_pool(16);
+    let request =
+        MultiClassSelectionRequest::new(pool.clone(), 4.0).with_policy(SolverPolicy::Annealing);
+    let greedy = JuryService::new(ServiceConfig::fast())
+        .select_multiclass(&request.clone().with_policy(SolverPolicy::Greedy))
+        .unwrap();
+
+    let service = JuryService::new(
+        ServiceConfig::fast()
+            .with_max_in_flight(1)
+            .with_overload_policy(OverloadPolicy::Coarsen)
+            .with_batch_threads(4),
+    );
+    let batch = vec![request; 12];
+    let results = service.select_multiclass_batch(&batch);
+    assert_eq!(results.len(), batch.len());
+    let mut coarsened = 0;
+    for slot in &results {
+        // Coarsening never sheds: every slot is served.
+        let response = slot.as_ref().unwrap();
+        assert_feasible(response, &pool, 4.0);
+        match response.policy {
+            SolverPolicy::Annealing => assert_eq!(response.solver, "simulated-annealing"),
+            SolverPolicy::Greedy => {
+                // A coarsened slot reports the downgrade and earns exactly
+                // the greedy policy's answer.
+                coarsened += 1;
+                assert!(
+                    response.solver.starts_with("greedy-"),
+                    "{}",
+                    response.solver
+                );
+                assert_eq!(response.worker_ids(), greedy.worker_ids());
+                assert!((response.quality - greedy.quality).abs() < 1e-9);
+            }
+            ref other => panic!("unexpected policy {other}"),
+        }
+    }
+    // The gate holder is always served at full fidelity.
+    assert!(coarsened < batch.len());
 }

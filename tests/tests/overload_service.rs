@@ -3,10 +3,10 @@
 //! or coarsen (serve everything at the greedy floor) — with gate counters
 //! that always account for every slot exactly once.
 
-use jury_model::{MatrixPool, Prior, WorkerPool};
+use jury_model::{CategoricalPrior, MatrixPool, Prior, WorkerPool};
 use jury_service::{
     JuryService, MixedRequest, OverloadPolicy, SelectionRequest, ServiceConfig, ServiceError,
-    SolverPolicy,
+    SolverPolicy, SweepPolicy,
 };
 
 /// A 30-worker pool past the exact cutoff: every request pays a real
@@ -164,4 +164,50 @@ fn shard_snapshots_in_metrics_reflect_the_configured_store() {
     let total_misses: u64 = outcome.metrics.shards.iter().map(|s| s.misses).sum();
     assert!(total_misses > 0);
     assert_eq!(service.cache_stats().misses, total_misses);
+}
+
+#[test]
+fn budget_tables_are_one_call_and_bypass_the_per_request_gate() {
+    // A table is one call: its cold rows go straight to the batch engine,
+    // so under a one-slot gate they are never shed (one shed row fails the
+    // whole table with `Overloaded`) nor coarsened to greedy (which breaks
+    // the promise that small tables stay exhaustively optimal).
+    let budgets: Vec<f64> = (1..=12).map(|b| 2.0 + b as f64).collect();
+    let matrix_pool = MatrixPool::from_qualities_and_costs(
+        &[0.9, 0.8, 0.7, 0.65, 0.6, 0.55],
+        &[2.0, 2.0, 1.0, 1.0, 1.0, 1.0],
+        3,
+    )
+    .unwrap();
+    let matrix_budgets = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0];
+    let prior = CategoricalPrior::uniform(3).unwrap();
+    let cold =
+        |config: ServiceConfig| JuryService::new(config.with_sweep_policy(SweepPolicy::Cold));
+
+    let ungated = cold(ServiceConfig::fast());
+    let binary = ungated
+        .budget_quality_table(&annealing_pool(), &budgets, Prior::uniform())
+        .unwrap();
+    let multiclass = ungated
+        .multiclass_budget_quality_table(&matrix_pool, &matrix_budgets, &prior)
+        .unwrap();
+    for overload in [OverloadPolicy::Shed, OverloadPolicy::Coarsen] {
+        let gated = cold(gated_config(overload));
+        for _ in 0..10 {
+            assert_eq!(
+                gated
+                    .budget_quality_table(&annealing_pool(), &budgets, Prior::uniform())
+                    .unwrap(),
+                binary,
+                "{overload:?}"
+            );
+            assert_eq!(
+                gated
+                    .multiclass_budget_quality_table(&matrix_pool, &matrix_budgets, &prior)
+                    .unwrap(),
+                multiclass,
+                "{overload:?}"
+            );
+        }
+    }
 }
