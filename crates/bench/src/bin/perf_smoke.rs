@@ -21,10 +21,10 @@
 //!   annealing sweep (median of N);
 //! * **parallel portfolio race** — the identical unbudgeted portfolio race
 //!   run sequentially and spread across `--threads` solver lanes
-//!   (`jury_selection::ParallelPolicy`). Both runs return the same jury by
-//!   the determinism contract; the ratio is pure wall-clock, so it pins
-//!   at ≈ 1.0 on single-core CI runners and only climbs where real cores
-//!   exist.
+//!   (`jury_selection::ParallelPolicy`). Both runs must return the same
+//!   jury and JQ by the determinism contract, and the binary exits 1 if
+//!   they do not. The ratio is pure wall-clock, so it pins at ≈ 1.0 on
+//!   single-core CI runners and only climbs where real cores exist.
 //!
 //! # CLI flags
 //!
@@ -45,8 +45,10 @@
 //!   as `threads`, so a baseline states the lane count it was pinned at.
 //! * `--check <baseline.json>` — compare this run's `speedups` against a
 //!   previously written dump (the repo checks in `BENCH_baseline.json`).
-//!   Exit code 0 = pass, 1 = at least one ratio regressed, 2 = the
-//!   baseline file is missing/malformed or a flag was invalid.
+//!   Exit code 0 = pass, 1 = at least one ratio regressed (or the threaded
+//!   race broke the determinism contract, checked with or without
+//!   `--check`), 2 = the baseline file is missing/malformed or a flag was
+//!   invalid.
 //! * `--tolerance <f>` — slack for `--check` (default 0.5). Each of the
 //!   [`CHECKED_SPEEDUPS`] ratios must satisfy
 //!   `now >= baseline / (1 + tolerance)`; CI passes `--tolerance 1.0`, so
@@ -370,14 +372,30 @@ fn main() {
         .expect("valid race instance");
     let race_iters = iters.div_ceil(3);
     let timed_race = |parallel: ParallelPolicy| {
-        median_us(race_iters, || {
+        let mut last = None;
+        let median = median_us(race_iters, || {
             let solver = PortfolioSolver::new(BvObjective::new())
                 .with_config(PortfolioConfig::default().with_parallel(parallel));
-            std::hint::black_box(solver.solve(&race_instance));
-        })
+            last = Some(std::hint::black_box(solver.solve(&race_instance)));
+        });
+        (median, last.expect("at least one timed race"))
     };
-    let race_sequential = timed_race(ParallelPolicy::Sequential);
-    let race_parallel = timed_race(ParallelPolicy::Threads(threads));
+    let (race_sequential, sequential_result) = timed_race(ParallelPolicy::Sequential);
+    let (race_parallel, parallel_result) = timed_race(ParallelPolicy::Threads(threads));
+    // The ratio only means something if both sides did the same search.
+    if parallel_result.jury.ids() != sequential_result.jury.ids()
+        || parallel_result.objective_value.to_bits() != sequential_result.objective_value.to_bits()
+    {
+        eprintln!(
+            "determinism violation: the {threads}-lane portfolio race returned {:?} (JQ {}), \
+             the sequential race {:?} (JQ {})",
+            parallel_result.jury.ids(),
+            parallel_result.objective_value,
+            sequential_result.jury.ids(),
+            sequential_result.objective_value
+        );
+        std::process::exit(1);
+    }
 
     let dump = serde_json::json!({
         "schema": "jury-bench/perf-smoke/v1",

@@ -141,7 +141,7 @@ impl BudgetQualityTable {
         let mut rows: Vec<Option<BudgetQualityRow>> = budgets.iter().map(|_| None).collect();
         for &slot in &order {
             let budget = budgets[slot];
-            search.extend_to(pool.workers(), budget);
+            search.extend_to(budget);
             let mut jury = search.jury().ids();
             jury.sort();
             rows[slot] = Some(BudgetQualityRow {

@@ -24,7 +24,7 @@ use jury_model::{Jury, Prior, Worker};
 
 use crate::budget::SearchBudget;
 use crate::objective::{IncrementalSession, JuryObjective};
-use crate::parallel::ParallelPolicy;
+use crate::parallel::{run_lanes, ParallelPolicy};
 use crate::problem::JspInstance;
 use crate::solver::{JurySolver, SolverResult};
 
@@ -152,13 +152,13 @@ impl<O: JuryObjective> GreedyMarginalSolver<O> {
         self
     }
 
-    /// Spreads each round's pool-many probes across threads (each thread
-    /// replays the round's base jury into its own incremental session, so
-    /// probe values are identical to the sequential ones and the round
-    /// winner — chosen by the sequential pool-order scan over the collected
-    /// values — is thread-count-invariant). The default is
-    /// [`ParallelPolicy::Sequential`], a bit-identical replay of the
-    /// pre-parallel solver.
+    /// Spreads each round's pool-many probes across lanes. A single lane
+    /// (the default, [`ParallelPolicy::Sequential`]) probes through the
+    /// search's own incremental session on the calling thread; each
+    /// spawned lane replays the round's jury into its own session, so probe
+    /// values do not depend on the lane count, and one pool-order scan over
+    /// the collected values picks the round winner. An unbudgeted solve
+    /// returns the same jury at every lane count.
     pub fn with_parallelism(mut self, parallel: ParallelPolicy) -> Self {
         self.parallel = parallel;
         self
@@ -181,7 +181,7 @@ const PROBE_TIE_TOLERANCE: f64 = 1e-9;
 /// re-solving cold).
 pub(crate) struct MarginalSearch<'a, O: JuryObjective> {
     objective: &'a O,
-    prior: Prior,
+    instance: &'a JspInstance,
     selected: Vec<bool>,
     jury: Jury,
     spent: f64,
@@ -190,16 +190,71 @@ pub(crate) struct MarginalSearch<'a, O: JuryObjective> {
     budget: SearchBudget,
     truncated: bool,
     parallel: ParallelPolicy,
-    /// Owned copy of the instance, present only in threaded mode: probe
-    /// threads open their own sessions from it (sessions are not `Send`,
-    /// so each is created and dropped inside its thread).
-    parallel_instance: Option<JspInstance>,
+}
+
+/// The read-only state of one forward-selection round, shared by its lanes.
+struct Round<'r> {
+    workers: &'r [Worker],
+    selected: &'r [bool],
+    jury: &'r Jury,
+    spent: f64,
+    /// The spend limit of this round's extensions.
+    limit: f64,
+    prior: Prior,
+    budget: SearchBudget,
+    lanes: usize,
+}
+
+impl Round<'_> {
+    /// Lane `lane`'s share of the round: every pool position
+    /// `index ≡ lane (mod lanes)` that is unselected and affordable, probed
+    /// as a single-worker extension of the round's jury (in place through
+    /// `session` — push, read, pop — when one is open). The budget
+    /// checkpoint is polled before every owned position, between probes so
+    /// the session stays balanced; an exhausted budget ends the lane and
+    /// reports the cut.
+    fn probe<O: JuryObjective>(
+        &self,
+        objective: &O,
+        session: &mut Option<Box<dyn IncrementalSession + '_>>,
+        lane: usize,
+    ) -> (Vec<(usize, f64)>, bool) {
+        let mut values = Vec::new();
+        for index in (lane..self.workers.len()).step_by(self.lanes) {
+            if self.budget.exhausted(objective.evaluations()) {
+                return (values, true);
+            }
+            let worker = &self.workers[index];
+            if self.selected[index] || self.spent + worker.cost() > self.limit + 1e-12 {
+                continue;
+            }
+            let mut session_broken = false;
+            let mut value = match session {
+                Some(live) => {
+                    live.push(worker);
+                    let value = live.value();
+                    session_broken = !live.pop(worker);
+                    value
+                }
+                None => objective.evaluate(&self.jury.with_worker(worker.clone()), self.prior),
+            };
+            if session_broken {
+                // Cannot happen with the shipped engines; guard against
+                // misbehaving third-party sessions by falling back to batch
+                // evaluation for the rest of the session's life.
+                *session = None;
+                value = objective.evaluate(&self.jury.with_worker(worker.clone()), self.prior);
+            }
+            values.push((index, value));
+        }
+        (values, false)
+    }
 }
 
 impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
     /// Opens a search over the instance's pool, with the objective's
     /// incremental session (when it offers one) as the probe engine.
-    pub(crate) fn new(objective: &'a O, instance: &JspInstance) -> Self {
+    pub(crate) fn new(objective: &'a O, instance: &'a JspInstance) -> Self {
         let session = objective.incremental_session(instance);
         let jury = Jury::empty();
         let current_value = match &session {
@@ -208,7 +263,7 @@ impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
         };
         MarginalSearch {
             objective,
-            prior: instance.prior(),
+            instance,
             selected: vec![false; instance.num_candidates()],
             jury,
             spent: 0.0,
@@ -217,7 +272,6 @@ impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
             budget: SearchBudget::unlimited(),
             truncated: false,
             parallel: ParallelPolicy::Sequential,
-            parallel_instance: None,
         }
     }
 
@@ -228,26 +282,17 @@ impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
         self
     }
 
-    /// Enables threaded probe rounds (see
-    /// [`GreedyMarginalSolver::with_parallelism`]). The instance is cloned
-    /// only when the policy actually spawns threads; sequential searches
-    /// keep their zero-copy construction.
-    pub(crate) fn with_parallelism(
-        mut self,
-        parallel: ParallelPolicy,
-        instance: &JspInstance,
-    ) -> Self {
+    /// Spreads each round's probes across lanes (see
+    /// [`GreedyMarginalSolver::with_parallelism`]).
+    pub(crate) fn with_parallelism(mut self, parallel: ParallelPolicy) -> Self {
         self.parallel = parallel;
-        if parallel.is_threaded() {
-            self.parallel_instance = Some(instance.clone());
-        }
         self
     }
 
     /// The session-guided value of the committed jury (quantized when a
-    /// session drives the search). Exposed so the restart fan-out can
-    /// compare a planting against the cross-lane bound without paying a
-    /// batch evaluation.
+    /// session drives the search). Exposed so a portfolio's restart lane
+    /// can compare a planting against the cross-lane bound without paying
+    /// a batch evaluation.
     pub(crate) fn current_value(&self) -> f64 {
         self.current_value
     }
@@ -273,7 +318,8 @@ impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
     /// restart plants a few workers before the marginal rounds take over.
     /// Costs at most one objective evaluation (to refresh the current value
     /// when the session is absent).
-    pub(crate) fn preseed(&mut self, workers: &[Worker], indices: &[usize], budget: f64) {
+    pub(crate) fn preseed(&mut self, indices: &[usize], budget: f64) {
+        let workers = self.instance.pool().workers();
         let mut committed = false;
         for &index in indices {
             let worker = &workers[index];
@@ -291,190 +337,69 @@ impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
         if committed {
             self.current_value = match &self.session {
                 Some(live) => live.value(),
-                None => self.objective.evaluate(&self.jury, self.prior),
+                None => self.objective.evaluate(&self.jury, self.instance.prior()),
             };
         }
     }
 
     /// Greedy rounds up to `budget`: each round scores **every** affordable
-    /// single-worker extension of the current jury (in place through the
-    /// session: push, read, pop) and commits the best one; ties keep the
-    /// earlier pool position, so runs are deterministic. The search stops
-    /// when nothing fits or — protecting objectives that are not monotone
-    /// in the jury size, like `JQ(MV)` — when the best extension scores
-    /// below the current jury; ties still commit, so the BV search keeps
-    /// filling the budget. Calling it again with a larger budget resumes
-    /// from the committed state (the warm-start contract).
-    pub(crate) fn extend_to(&mut self, workers: &[Worker], budget: f64) {
-        if self.parallel.is_threaded() && self.parallel_instance.is_some() && !workers.is_empty() {
-            let lanes = self.parallel.lanes(workers.len());
-            return self.extend_to_parallel(workers, budget, lanes);
-        }
+    /// single-worker extension of the current jury and commits the best
+    /// one; ties keep the earlier pool position, so runs are deterministic.
+    /// The search stops when nothing fits or — protecting objectives that
+    /// are not monotone in the jury size, like `JQ(MV)` — when the best
+    /// extension scores below the current jury; ties still commit, so the
+    /// BV search keeps filling the budget. Calling it again with a larger
+    /// budget resumes from the committed state (the warm-start contract).
+    ///
+    /// A round's probes are dealt onto the policy's lanes by pool position.
+    /// A single lane probes through the search's own session; spawned lanes
+    /// each open a session (sessions are not `Send`) and replay the round's
+    /// jury into it, so a probe value depends only on `(jury, candidate)`.
+    /// The winner is then picked by one pool-order scan over the collected
+    /// values, which keeps the committed jury invariant in the lane count.
+    /// A budget cut seen by any lane abandons the uncommitted round and
+    /// keeps the jury built so far (anytime semantics).
+    pub(crate) fn extend_to(&mut self, budget: f64) {
+        let (objective, instance) = (self.objective, self.instance);
+        let workers = instance.pool().workers();
+        let lanes = self.parallel.lanes(workers.len());
         loop {
-            let mut best: Option<(usize, f64)> = None;
-            for (index, worker) in workers.iter().enumerate() {
-                // Cooperative checkpoint, placed between probes so the
-                // push/pop session stays balanced; an exhausted budget
-                // abandons the uncommitted round and keeps the jury built
-                // so far (anytime semantics).
-                if self.budget.exhausted(self.objective.evaluations()) {
+            let round = Round {
+                workers,
+                selected: &self.selected,
+                jury: &self.jury,
+                spent: self.spent,
+                limit: budget,
+                prior: instance.prior(),
+                budget: self.budget,
+                lanes,
+            };
+            let lane_probes = if lanes == 1 {
+                vec![round.probe(objective, &mut self.session, 0)]
+            } else {
+                run_lanes(lanes, |lane| {
+                    let mut session = objective.incremental_session(instance);
+                    if let Some(live) = &mut session {
+                        for member in round.jury.workers() {
+                            live.push(member);
+                        }
+                    }
+                    round.probe(objective, &mut session, lane)
+                })
+            };
+            let mut probes = Vec::new();
+            for (values, cut) in lane_probes {
+                if cut {
                     self.truncated = true;
                     return;
                 }
-                if self.selected[index] || self.spent + worker.cost() > budget + 1e-12 {
-                    continue;
-                }
-                let mut session_broken = false;
-                let mut value = match &mut self.session {
-                    Some(live) => {
-                        live.push(worker);
-                        let value = live.value();
-                        session_broken = !live.pop(worker);
-                        value
-                    }
-                    None => self
-                        .objective
-                        .evaluate(&self.jury.with_worker(worker.clone()), self.prior),
-                };
-                if session_broken {
-                    // Cannot happen with the shipped engines; guard against
-                    // misbehaving third-party sessions by falling back to
-                    // batch evaluation for the rest of the search.
-                    self.session = None;
-                    value = self
-                        .objective
-                        .evaluate(&self.jury.with_worker(worker.clone()), self.prior);
-                }
-                if best.is_none_or(|(_, best_value)| value > best_value + PROBE_TIE_TOLERANCE) {
-                    best = Some((index, value));
-                }
+                probes.extend(values);
             }
-            let Some((index, best_value)) = best else {
-                break;
-            };
-            if best_value < self.current_value - PROBE_TIE_TOLERANCE {
-                break;
-            }
-            self.selected[index] = true;
-            self.spent += workers[index].cost();
-            self.jury.push(workers[index].clone());
-            if let Some(live) = &mut self.session {
-                live.push(&workers[index]);
-            }
-            self.current_value = best_value;
-        }
-    }
-
-    /// [`extend_to`](Self::extend_to) with each round's probes spread over
-    /// `lanes` scoped threads. Every lane opens its own incremental session
-    /// (sessions are not `Send`) and replays the round's base jury, so each
-    /// probe value depends only on `(base jury, candidate)` — never on the
-    /// interleaving. The round winner is then chosen by the **same**
-    /// pool-order tie-tolerance scan as the sequential loop over the
-    /// collected values, which is what makes the committed jury invariant
-    /// in the thread count. The stop rule and commit path are unchanged.
-    fn extend_to_parallel(&mut self, workers: &[Worker], budget: f64, lanes: usize) {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        let instance = self
-            .parallel_instance
-            .clone()
-            .expect("threaded extend_to requires a cloned instance");
-        let objective = self.objective;
-        let prior = self.prior;
-        let search_budget = self.budget;
-
-        loop {
-            // Fix the round's candidate set up front so every lane probes
-            // the same base jury.
-            let candidates: Vec<usize> = (0..workers.len())
-                .filter(|&i| !self.selected[i] && self.spent + workers[i].cost() <= budget + 1e-12)
-                .collect();
-            if candidates.is_empty() {
-                break;
-            }
-            let base_members: Vec<Worker> = self.jury.workers().to_vec();
-            let cut = AtomicBool::new(false);
-
-            let lane_results: Vec<Vec<(usize, f64)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..lanes)
-                    .map(|lane| {
-                        let candidates = &candidates;
-                        let base_members = &base_members;
-                        let instance = &instance;
-                        let cut = &cut;
-                        scope.spawn(move || {
-                            let mut results: Vec<(usize, f64)> = Vec::new();
-                            let mut session = objective.incremental_session(instance);
-                            if let Some(live) = &mut session {
-                                for member in base_members {
-                                    live.push(member);
-                                }
-                            }
-                            for (slot, &index) in candidates.iter().enumerate() {
-                                if slot % lanes != lane {
-                                    continue;
-                                }
-                                // Cooperative checkpoint between probes; a
-                                // cut observed by any lane stops them all.
-                                if cut.load(Ordering::Relaxed)
-                                    || search_budget.exhausted(objective.evaluations())
-                                {
-                                    cut.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                                let worker = &workers[index];
-                                let mut session_broken = false;
-                                let mut value = match &mut session {
-                                    Some(live) => {
-                                        live.push(worker);
-                                        let value = live.value();
-                                        session_broken = !live.pop(worker);
-                                        value
-                                    }
-                                    None => objective.evaluate(
-                                        &Jury::new(base_members.clone())
-                                            .with_worker(worker.clone()),
-                                        prior,
-                                    ),
-                                };
-                                if session_broken {
-                                    session = None;
-                                    value = objective.evaluate(
-                                        &Jury::new(base_members.clone())
-                                            .with_worker(worker.clone()),
-                                        prior,
-                                    );
-                                }
-                                results.push((index, value));
-                            }
-                            results
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("probe lane panicked"))
-                    .collect()
-            });
-
-            if cut.load(Ordering::Relaxed) {
-                // Abandon the uncommitted round, exactly like the
-                // sequential checkpoint (anytime semantics).
-                self.truncated = true;
-                return;
-            }
-
-            let mut values: Vec<Option<f64>> = vec![None; workers.len()];
-            for (index, value) in lane_results.into_iter().flatten() {
-                values[index] = Some(value);
-            }
-            // The sequential scan, replayed over the collected values: the
-            // chained tie-tolerance comparison is order-sensitive, so the
-            // winner must be chosen in pool order, not per-lane.
+            // The chained tie-tolerance comparison is order-sensitive, so
+            // the winner is chosen in pool order, not per lane.
+            probes.sort_unstable_by_key(|&(index, _)| index);
             let mut best: Option<(usize, f64)> = None;
-            for (index, value) in values.iter().enumerate() {
-                let Some(value) = *value else { continue };
+            for (index, value) in probes {
                 if best.is_none_or(|(_, best_value)| value > best_value + PROBE_TIE_TOLERANCE) {
                     best = Some((index, value));
                 }
@@ -506,8 +431,8 @@ impl<O: JuryObjective> JurySolver for GreedyMarginalSolver<O> {
         let evaluations_before = self.objective.evaluations();
         let mut search = MarginalSearch::new(&self.objective, instance)
             .with_budget(self.budget)
-            .with_parallelism(self.parallel, instance);
-        search.extend_to(instance.pool().workers(), instance.budget());
+            .with_parallelism(self.parallel);
+        search.extend_to(instance.budget());
 
         // Session values are quantized guidance; report the batch
         // objective's score of the final jury.

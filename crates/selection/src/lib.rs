@@ -79,6 +79,147 @@ pub use special::{try_special_case, SpecialCase};
 pub use tabu::{TabuConfig, TabuSolver};
 
 #[cfg(test)]
+mod tests {
+    use super::*;
+    use jury_model::WorkerPool;
+
+    /// Thread-count invariance where incremental sessions really open: both
+    /// pools exceed the BV exact cutoff, so the greedy lanes replay their
+    /// base jury into per-lane sessions and the portfolio lanes probe
+    /// through their own `ArenaObjective` arenas. Every threaded solve must
+    /// return the sequential jury with a bit-equal value.
+    #[test]
+    fn threaded_solves_match_sequential_on_session_sized_pools() {
+        for (n, budget) in [(16usize, 3.5), (20, 4.5)] {
+            let qualities: Vec<f64> = (0..n)
+                .map(|i| 0.55 + 0.025 * ((i * 7) % 13) as f64)
+                .collect();
+            let costs: Vec<f64> = (0..n).map(|i| 0.5 + 0.25 * ((i * 5) % 7) as f64).collect();
+            let pool = WorkerPool::from_qualities_and_costs(&qualities, &costs).unwrap();
+            let instance = JspInstance::with_uniform_prior(pool, budget).unwrap();
+
+            let solve = |policy: ParallelPolicy| {
+                [
+                    GreedyMarginalSolver::new(BvObjective::new())
+                        .with_parallelism(policy)
+                        .solve(&instance),
+                    RestartSolver::with_config(
+                        BvObjective::new(),
+                        RestartConfig::default().with_parallel(policy),
+                    )
+                    .solve(&instance),
+                    PortfolioSolver::new(BvObjective::new())
+                        .with_config(PortfolioConfig::default().with_parallel(policy))
+                        .solve(&instance),
+                ]
+            };
+            let sequential = solve(ParallelPolicy::Sequential);
+            for threads in [1usize, 2, 8] {
+                for (threaded, expected) in solve(ParallelPolicy::Threads(threads))
+                    .iter()
+                    .zip(&sequential)
+                {
+                    assert_eq!(
+                        threaded.jury.ids(),
+                        expected.jury.ids(),
+                        "n {n}, {} at {threads} threads changed the jury",
+                        expected.solver
+                    );
+                    assert_eq!(
+                        threaded.objective_value.to_bits(),
+                        expected.objective_value.to_bits(),
+                        "n {n}, {} at {threads} threads changed the value",
+                        expected.solver
+                    );
+                }
+            }
+        }
+    }
+
+    /// The budgeted two-lane race, where the cross-lane bound steers the
+    /// portfolio (tabu aspiration, the restart acceptance cut): every
+    /// capped solve stays feasible and anytime, reports the cut, and the
+    /// portfolio never leaks a quantized session value into its result.
+    #[test]
+    fn budgeted_two_lane_solves_stay_anytime() {
+        // A pool where the race beats both greedy fills, so the winning
+        // jury comes out of a member's search rather than a greedy fold.
+        let qualities: Vec<f64> = (0..20)
+            .map(|i| 0.52 + 0.013 * ((i * 7 + 2) % 29) as f64)
+            .collect();
+        let costs: Vec<f64> = (0..20)
+            .map(|i| 0.5 + 0.25 * ((i * 5 + 2) % 7) as f64)
+            .collect();
+        let pool = WorkerPool::from_qualities_and_costs(&qualities, &costs).unwrap();
+        let instance = JspInstance::with_uniform_prior(pool, 4.5).unwrap();
+        let floor = GreedyQualitySolver::new(BvObjective::new())
+            .solve(&instance)
+            .objective_value
+            .max(
+                GreedyRatioSolver::new(BvObjective::new())
+                    .solve(&instance)
+                    .objective_value,
+            );
+
+        let policy = ParallelPolicy::Threads(2);
+        let solve = |budget: SearchBudget| {
+            [
+                PortfolioSolver::new(BvObjective::new())
+                    .with_config(PortfolioConfig::default().with_parallel(policy))
+                    .with_budget(budget)
+                    .solve(&instance),
+                RestartSolver::with_config(
+                    BvObjective::new(),
+                    RestartConfig::default().with_parallel(policy),
+                )
+                .with_budget(budget)
+                .solve(&instance),
+                GreedyMarginalSolver::new(BvObjective::new())
+                    .with_parallelism(policy)
+                    .with_budget(budget)
+                    .solve(&instance),
+            ]
+        };
+        let unbudgeted = solve(SearchBudget::unlimited());
+        for cap in [50u64, 200, 800] {
+            let [portfolio, restart, greedy] =
+                solve(SearchBudget::unlimited().with_max_evaluations(cap));
+            for (capped, full) in [&portfolio, &restart, &greedy].into_iter().zip(&unbudgeted) {
+                assert!(
+                    instance.is_feasible(&capped.jury),
+                    "cap {cap}: {}",
+                    capped.solver
+                );
+                if cap < full.evaluations {
+                    assert!(capped.truncated, "cap {cap}: {} not truncated", full.solver);
+                }
+            }
+            for capped in [&portfolio, &restart] {
+                assert!(
+                    capped.objective_value >= floor - 1e-9,
+                    "cap {cap}: {} at {} below the greedy floor {floor}",
+                    capped.solver,
+                    capped.objective_value
+                );
+            }
+            // The marginal search has no greedy fills to fall back on; its
+            // anytime jury is the unbudgeted selection cut after whole
+            // rounds.
+            assert!(
+                unbudgeted[2].jury.ids().starts_with(&greedy.jury.ids()),
+                "cap {cap}: greedy jury is not a prefix of the unbudgeted one"
+            );
+            let rescored = BvObjective::new().evaluate(&portfolio.jury, instance.prior());
+            assert_eq!(
+                portfolio.objective_value.to_bits(),
+                rescored.to_bits(),
+                "cap {cap}: the portfolio reported a value its jury does not score"
+            );
+        }
+    }
+}
+
+#[cfg(test)]
 mod proptests {
     use super::*;
     use jury_model::{Prior, WorkerPool};

@@ -1,32 +1,37 @@
-//! Intra-solve parallel execution: the lane policy shared by the threaded
-//! solvers, the cross-lane best-so-far bound, and the per-lane arena
-//! adapter.
+//! Intra-solve parallel execution: the lane policy, the lane runner shared
+//! by every threaded path, the cross-lane best-so-far bound, and the
+//! per-lane arena adapter.
 //!
 //! The serving stack has been data-parallel across *requests* since the
 //! batch engine landed; this module makes a *single* large solve
-//! multi-core. Three solvers opt in through [`ParallelPolicy`]:
+//! multi-core. Three solvers take a [`ParallelPolicy`], and each has **one**
+//! search body written against the lane runner, whatever the lane count:
 //!
-//! * [`crate::PortfolioSolver`] races each member on its own scoped OS
-//!   thread (per-lane [`jury_jq::JqScratch`] arena via [`ArenaObjective`],
-//!   one shared evaluation counter, one [`SharedBestBound`]);
-//! * [`crate::RestartSolver`] fans its restart units out across threads —
-//!   lane seeds are pure functions of the restart index, so the candidate
-//!   set is independent of thread interleaving and the fold replays the
-//!   sequential tie-break exactly;
-//! * [`crate::GreedyMarginalSolver`] evaluates the pool-many probes of each
-//!   forward-selection round across threads, merging the probe values
-//!   through the sequential pool-order scan so the round winner stays
-//!   deterministic.
+//! * [`crate::PortfolioSolver`] deals its members round-robin onto lanes;
+//!   each lane races its members at restart-unit granularity. A single lane
+//!   drives the solver's own objective; spawned lanes each drive an
+//!   [`ArenaObjective`] over a private [`jury_jq::JqScratch`] arena, all
+//!   sharing one evaluation counter;
+//! * [`crate::RestartSolver`] runs restarts `t, t + lanes, …` on lane `t` —
+//!   a restart's planting is a pure function of its index, so the candidate
+//!   set never depends on the lane count, and one fold replays the restart
+//!   order;
+//! * [`crate::GreedyMarginalSolver`] splits each forward-selection round's
+//!   probes across lanes and picks the round winner by one pool-order scan
+//!   over the collected values.
 //!
-//! **Determinism contract.** [`ParallelPolicy::Sequential`] (the default)
-//! never spawns, never reads the new atomics, and runs the exact pre-policy
-//! code paths — bit-identical replay. A threaded *unbudgeted* run keeps
-//! every lane a pure replay of its standalone sequential sequence (the
-//! bound is published but never steers), so the result is invariant in the
-//! thread count. Only a threaded *budgeted* run lets the bound cut losing
-//! work early (tabu aspiration against the cross-lane best, restart
-//! acceptance skipping the final re-score of a provably losing planting) —
-//! budgeted runs are anytime by contract, not replays.
+//! [`ParallelPolicy::Sequential`] is simply the one-lane case: the runner
+//! calls the body on the calling thread, with no spawn, no atomics and no
+//! extra clock reads.
+//!
+//! **Determinism contract.** An *unbudgeted* run returns the same jury and
+//! value at every lane count: each lane replays its units exactly as one
+//! lane would, and the folds restore the one-lane order. A *budgeted* run
+//! is anytime by contract, not a replay. On more than one lane under a
+//! limited budget, the portfolio also publishes a [`SharedBestBound`] that
+//! lets lanes cut work that provably cannot win: tabu aspiration against
+//! the cross-lane best, and a restart member skipping the final re-score
+//! of a provably losing planting. One lane never reads the bound.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,32 +41,29 @@ use jury_model::{Jury, Prior};
 use crate::objective::{IncrementalSession, JuryObjective};
 use crate::problem::JspInstance;
 
-/// How a solver spreads one solve across OS threads.
+mod lanes;
+pub(crate) use lanes::run_lanes;
+
+/// How a solver spreads one solve across lanes (scoped OS threads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ParallelPolicy {
-    /// Run on the calling thread, bit-identical to the pre-parallel
-    /// solver (no thread spawns, no new atomic or clock reads). The
-    /// default.
+    /// One lane, run on the calling thread (no thread spawns, no atomic
+    /// or clock reads beyond the solver's own). The default.
     #[default]
     Sequential,
-    /// Spread the solve's independent units (portfolio lanes, restart
-    /// units, greedy probes) across this many scoped OS threads; `0` means
-    /// one per available CPU core. `Threads(1)` runs the parallel
-    /// orchestration on a single lane — same results, useful for tests.
+    /// Spread the solve's independent units (portfolio members, restart
+    /// units, greedy probes) across this many lanes, one scoped OS thread
+    /// each; `0` means one per available CPU core. A policy that resolves
+    /// to one lane — `Threads(1)`, or `Threads(0)` on a one-core host — is
+    /// exactly [`Sequential`](Self::Sequential).
     Threads(usize),
 }
 
 impl ParallelPolicy {
-    /// Whether this policy spawns threads at all.
-    #[must_use]
-    pub fn is_threaded(&self) -> bool {
-        matches!(self, ParallelPolicy::Threads(_))
-    }
-
-    /// The number of worker threads to spawn for `work_items` independent
-    /// units: 1 for [`Sequential`](Self::Sequential), otherwise the
-    /// configured count (`0` resolved to the available parallelism),
-    /// clamped to the unit count so no thread starts idle.
+    /// The number of lanes for `work_items` independent units: 1 for
+    /// [`Sequential`](Self::Sequential), otherwise the configured count
+    /// (`0` resolved to the available parallelism), clamped to the unit
+    /// count so no lane starts idle.
     #[must_use]
     pub fn lanes(&self, work_items: usize) -> usize {
         match *self {
@@ -180,8 +182,13 @@ mod tests {
     #[test]
     fn sequential_policy_never_spawns() {
         assert_eq!(ParallelPolicy::Sequential.lanes(100), 1);
-        assert!(!ParallelPolicy::Sequential.is_threaded());
         assert_eq!(ParallelPolicy::default(), ParallelPolicy::Sequential);
+        // One lane runs on the calling thread.
+        let caller = std::thread::current().id();
+        assert_eq!(
+            run_lanes(1, |lane| (lane, std::thread::current().id())),
+            vec![(0, caller)]
+        );
     }
 
     #[test]
@@ -190,7 +197,8 @@ mod tests {
         assert_eq!(ParallelPolicy::Threads(2).lanes(100), 2);
         assert_eq!(ParallelPolicy::Threads(4).lanes(0), 1);
         assert!(ParallelPolicy::Threads(0).lanes(64) >= 1);
-        assert!(ParallelPolicy::Threads(0).is_threaded());
+        // Lane results come back in lane order.
+        assert_eq!(run_lanes(3, |lane| lane * 10), vec![0, 10, 20]);
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //! (`"portfolio:tabu"`, `"portfolio:random-restart"`,
 //! `"portfolio:simulated-annealing"`).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -37,7 +36,7 @@ use jury_model::Jury;
 use crate::annealing::{greedy_candidate_juries, AnnealingConfig, AnnealingSolver};
 use crate::budget::SearchBudget;
 use crate::objective::JuryObjective;
-use crate::parallel::{ArenaObjective, ParallelPolicy, SharedBestBound};
+use crate::parallel::{run_lanes, ArenaObjective, ParallelPolicy, SharedBestBound};
 use crate::problem::JspInstance;
 use crate::restart::{RestartConfig, RestartSolver};
 use crate::solver::{JurySolver, SolverResult};
@@ -103,12 +102,13 @@ pub struct PortfolioConfig {
     pub tabu: TabuConfig,
     /// Configuration of the [`PortfolioMember::Restart`] member.
     pub restart: RestartConfig,
-    /// How the race is spread across OS threads:
-    /// [`ParallelPolicy::Sequential`] (the default) runs the pre-parallel
-    /// round-robin race bit-identically on the calling thread;
-    /// [`ParallelPolicy::Threads`] gives each member its own scoped thread
-    /// with a private scratch arena, all lanes sharing one evaluation
-    /// counter and one best-so-far bound.
+    /// How the race is spread across lanes. Members are dealt round-robin
+    /// onto the lanes, and every lane races its members at restart-unit
+    /// granularity. One lane ([`ParallelPolicy::Sequential`], the default)
+    /// runs the whole race on the calling thread against the objective
+    /// itself. Spawned lanes each probe through a private scratch arena and
+    /// share one evaluation counter; under a limited budget they also
+    /// share a best-so-far bound that cuts provably losing work.
     pub parallel: ParallelPolicy,
 }
 
@@ -139,9 +139,9 @@ impl PortfolioConfig {
     }
 }
 
-/// A member's lane in the race: its best jury so far and how many restart
-/// units it still has to run.
-struct Lane {
+/// One member's entry in the race: its best jury so far and how many
+/// restart units it runs.
+struct MemberRun {
     member: PortfolioMember,
     units: usize,
     best_jury: Jury,
@@ -154,10 +154,10 @@ pub struct PortfolioSolver<O: JuryObjective> {
     members: Vec<PortfolioMember>,
     config: PortfolioConfig,
     budget: SearchBudget,
-    /// Parent scratch arena of the threaded race: warm buffers are dealt
-    /// out to the lanes at spawn and absorbed back at retirement, so
-    /// repeated parallel solves reuse capacity across calls. Untouched in
-    /// sequential mode.
+    /// Parent scratch arena of a multi-lane race: warm buffers are dealt
+    /// out to the spawned lanes and absorbed back at retirement, so
+    /// repeated multi-lane solves reuse capacity across calls. Untouched by
+    /// a one-lane race.
     arena: SharedJqScratch,
 }
 
@@ -239,62 +239,146 @@ impl<O: JuryObjective> JurySolver for PortfolioSolver<O> {
     }
 
     fn solve(&self, instance: &JspInstance) -> SolverResult {
-        if self.config.parallel.is_threaded() {
-            let lanes = self.config.parallel.lanes(self.members.len());
-            return self.solve_parallel(instance, lanes);
+        let start = Instant::now();
+        let evaluations_before = self.objective.evaluations();
+        let lanes = self.config.parallel.lanes(self.members.len());
+
+        // The bound may only *steer* when several lanes race and the race
+        // can be cut short anyway: a budgeted race is anytime by contract,
+        // an unbudgeted one must replay its members exactly.
+        let bound = (lanes > 1 && !self.budget.is_unlimited()).then(SharedBestBound::new);
+
+        // Spawned lanes each get a private arena, dealt the parent arena's
+        // warm buffers, so their hot loops never contend on a shared
+        // scratch lock. A single lane drives the objective directly.
+        let mut lane_arenas: Vec<SharedJqScratch> = Vec::new();
+        if lanes > 1 {
+            lane_arenas = (0..lanes).map(|_| SharedJqScratch::new()).collect();
+            let mut parent = self.arena.lock();
+            for i in 0..parent.buffers_held() {
+                let buffer = parent.take_buffer();
+                lane_arenas[i % lanes].lock().recycle_buffer(buffer);
+            }
         }
-        self.solve_sequential(instance)
+        let lane_runs = run_lanes(lanes, |lane| match lane_arenas.get(lane) {
+            Some(arena) => self.race_lane(
+                &ArenaObjective::new(&self.objective, arena),
+                instance,
+                lane,
+                lanes,
+                bound.as_ref(),
+            ),
+            None => self.race_lane(&self.objective, instance, lane, lanes, bound.as_ref()),
+        });
+        // Lane retirement: absorb the warm per-lane arenas back into the
+        // parent so the next multi-lane solve starts warm.
+        for arena in &lane_arenas {
+            self.arena.absorb(arena);
+        }
+
+        let mut truncated = false;
+        let mut runs: Vec<(usize, MemberRun)> = Vec::with_capacity(self.members.len());
+        for (lane_members, cut) in lane_runs {
+            truncated |= cut;
+            runs.extend(lane_members);
+        }
+
+        // Finish every member the way its standalone solver finishes: fold
+        // the greedy candidate fills. Cheap (two evaluations per member)
+        // and done even on truncation — this is what keeps a cut-short race
+        // at or above the greedy floor.
+        for (_, run) in runs.iter_mut() {
+            if !self.member_uses_greedy(run.member) {
+                continue;
+            }
+            for jury in greedy_candidate_juries(instance) {
+                let value = self.objective.evaluate(&jury, instance.prior());
+                if value > run.best_value {
+                    run.best_value = value;
+                    run.best_jury = jury;
+                }
+            }
+        }
+
+        // The race winner: strictly better value wins, ties keep the
+        // earlier member in race order.
+        let (_, winner) = runs
+            .iter()
+            .max_by(|(ia, a), (ib, b)| {
+                a.best_value
+                    .partial_cmp(&b.best_value)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then_with(|| ib.cmp(ia))
+            })
+            .expect("a portfolio always has at least one member");
+
+        SolverResult {
+            jury: winner.best_jury.clone(),
+            objective_value: winner.best_value,
+            evaluations: self.objective.evaluations() - evaluations_before,
+            elapsed: start.elapsed(),
+            solver: winner.member.provenance(),
+            truncated,
+        }
     }
 }
 
 impl<O: JuryObjective> PortfolioSolver<O> {
-    /// The pre-parallel round-robin race, verbatim: the
-    /// [`ParallelPolicy::Sequential`] path, bit-identical to the solver
-    /// before the threaded mode existed (no new clock or atomic reads).
-    fn solve_sequential(&self, instance: &JspInstance) -> SolverResult {
-        let start = Instant::now();
-        let evaluations_before = self.objective.evaluations();
+    /// One lane of the race: the members at race positions
+    /// `index ≡ lane (mod lanes)`, raced round-robin at restart-unit
+    /// granularity — round `u` gives every member its `u`-th restart, so no
+    /// member can exhaust a tight budget alone. Sub-solvers borrow
+    /// `objective`, so every probe lands in the one shared evaluation
+    /// counter — and, through a caching objective, the same memo store —
+    /// the budget and the other members see. Returns the members' runs
+    /// tagged with their race positions, and whether the budget cut the
+    /// lane short.
+    fn race_lane<P: JuryObjective>(
+        &self,
+        objective: &P,
+        instance: &JspInstance,
+        lane: usize,
+        lanes: usize,
+        bound: Option<&SharedBestBound>,
+    ) -> (Vec<(usize, MemberRun)>, bool) {
+        let annealing =
+            AnnealingSolver::with_config(objective, self.config.annealing).with_budget(self.budget);
+        let tabu = TabuSolver::with_config(objective, self.config.tabu).with_budget(self.budget);
+        let restart =
+            RestartSolver::with_config(objective, self.config.restart).with_budget(self.budget);
 
-        // Sub-solvers borrow the shared objective (via the blanket
-        // `JuryObjective for &O` impl), so every probe lands in the same
-        // evaluation counter — and, through a caching objective, the same
-        // memo store — the budget and the other members see.
-        let annealing = AnnealingSolver::with_config(&self.objective, self.config.annealing)
-            .with_budget(self.budget);
-        let tabu =
-            TabuSolver::with_config(&self.objective, self.config.tabu).with_budget(self.budget);
-        let restart = RestartSolver::with_config(&self.objective, self.config.restart)
-            .with_budget(self.budget);
-
-        // Every lane starts where its standalone solver would: at the empty
-        // jury's value.
-        let mut lanes: Vec<Lane> = self
+        // Every member starts where its standalone solver would: at the
+        // empty jury's value.
+        let mut runs: Vec<(usize, MemberRun)> = self
             .members
             .iter()
-            .map(|&member| Lane {
-                member,
-                units: self.units_of(member),
-                best_jury: Jury::empty(),
-                best_value: self.objective.evaluate(&Jury::empty(), instance.prior()),
+            .enumerate()
+            .filter(|(index, _)| index % lanes == lane)
+            .map(|(index, &member)| {
+                let run = MemberRun {
+                    member,
+                    units: self.units_of(member),
+                    best_jury: Jury::empty(),
+                    best_value: objective.evaluate(&Jury::empty(), instance.prior()),
+                };
+                (index, run)
             })
             .collect();
 
-        // Round-robin race: round `u` gives every member its `u`-th
-        // restart, so no member can exhaust a tight budget alone.
         let mut truncated = false;
-        let rounds = lanes.iter().map(|lane| lane.units).max().unwrap_or(0);
+        let rounds = runs.iter().map(|(_, run)| run.units).max().unwrap_or(0);
         'race: for unit in 0..rounds {
-            for lane in lanes.iter_mut() {
-                if unit >= lane.units {
+            for (_, run) in runs.iter_mut() {
+                if unit >= run.units {
                     continue;
                 }
-                if self.budget.exhausted(self.objective.evaluations()) {
+                if self.budget.exhausted(objective.evaluations()) {
                     truncated = true;
                     break 'race;
                 }
-                let (jury, value, cut) = match lane.member {
-                    PortfolioMember::Tabu => tabu.run_once(instance, unit),
-                    PortfolioMember::Restart => restart.run_once(instance, unit),
+                let (jury, value, cut) = match run.member {
+                    PortfolioMember::Tabu => tabu.run_once(instance, unit, bound),
+                    PortfolioMember::Restart => restart.run_once(instance, unit, bound),
                     PortfolioMember::Annealing => annealing.anneal_once(
                         instance,
                         self.config.annealing.seed.wrapping_add(unit as u64),
@@ -302,212 +386,16 @@ impl<O: JuryObjective> PortfolioSolver<O> {
                     ),
                 };
                 truncated |= cut;
-                if value > lane.best_value {
-                    lane.best_value = value;
-                    lane.best_jury = jury;
+                if value > run.best_value {
+                    run.best_value = value;
+                    run.best_jury = jury;
+                    if let Some(shared) = bound {
+                        shared.observe(value);
+                    }
                 }
             }
         }
-
-        // Finish every lane the way its standalone solver finishes: fold
-        // the greedy candidate fills. Cheap (two evaluations per lane) and
-        // done even on truncation — this is what keeps a cut-short race at
-        // or above the greedy floor.
-        for lane in lanes.iter_mut() {
-            if !self.member_uses_greedy(lane.member) {
-                continue;
-            }
-            for jury in greedy_candidate_juries(instance) {
-                let value = self.objective.evaluate(&jury, instance.prior());
-                if value > lane.best_value {
-                    lane.best_value = value;
-                    lane.best_jury = jury;
-                }
-            }
-        }
-
-        // The race winner: strictly better value wins, ties keep the
-        // earlier member in race order.
-        let winner = lanes
-            .iter()
-            .enumerate()
-            .max_by(|(ia, a), (ib, b)| {
-                a.best_value
-                    .partial_cmp(&b.best_value)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| ib.cmp(ia))
-            })
-            .expect("a portfolio always has at least one member");
-
-        SolverResult {
-            jury: winner.1.best_jury.clone(),
-            objective_value: winner.1.best_value,
-            evaluations: self.objective.evaluations() - evaluations_before,
-            elapsed: start.elapsed(),
-            solver: winner.1.member.provenance(),
-            truncated,
-        }
-    }
-
-    /// The threaded race: members are dealt round-robin onto `lanes`
-    /// scoped OS threads; every lane races its members at the same
-    /// restart-unit granularity as the sequential round-robin, drives the
-    /// **shared** objective (one evaluation counter, one memo store)
-    /// through a private [`ArenaObjective`] scratch arena, and — under a
-    /// limited budget only — steers against the cross-lane
-    /// [`SharedBestBound`]. Unbudgeted, every lane is a pure replay of its
-    /// members' standalone sequential runs, so the fold below returns the
-    /// same winner at any thread count.
-    fn solve_parallel(&self, instance: &JspInstance, lanes: usize) -> SolverResult {
-        let start = Instant::now();
-        let evaluations_before = self.objective.evaluations();
-
-        let bound = SharedBestBound::new();
-        // The bound may only *steer* when the race can be cut short anyway:
-        // a budgeted race is anytime by contract, an unbudgeted one must
-        // replay its members exactly.
-        let steer = !self.budget.is_unlimited();
-
-        // Deal the parent arena's warm buffers out to per-lane arenas; the
-        // lanes' hot loops then never contend on a shared scratch lock.
-        let lane_arenas: Vec<SharedJqScratch> =
-            (0..lanes).map(|_| SharedJqScratch::new()).collect();
-        {
-            let mut parent = self.arena.lock();
-            let held = parent.buffers_held();
-            for i in 0..held {
-                let buffer = parent.take_buffer();
-                lane_arenas[i % lanes].lock().recycle_buffer(buffer);
-            }
-        }
-
-        let truncated = AtomicBool::new(false);
-        let mut lane_states: Vec<(usize, Lane)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..lanes)
-                .map(|t| {
-                    let arena = &lane_arenas[t];
-                    let bound = &bound;
-                    let truncated = &truncated;
-                    scope.spawn(move || {
-                        let lane_objective = ArenaObjective::new(&self.objective, arena);
-                        let annealing =
-                            AnnealingSolver::with_config(&lane_objective, self.config.annealing)
-                                .with_budget(self.budget);
-                        let tabu = TabuSolver::with_config(&lane_objective, self.config.tabu)
-                            .with_budget(self.budget);
-                        let restart =
-                            RestartSolver::with_config(&lane_objective, self.config.restart)
-                                .with_budget(self.budget);
-                        let shared = if steer { Some(bound) } else { None };
-
-                        let mut states: Vec<(usize, Lane)> = self
-                            .members
-                            .iter()
-                            .enumerate()
-                            .filter(|(index, _)| index % lanes == t)
-                            .map(|(index, &member)| {
-                                (
-                                    index,
-                                    Lane {
-                                        member,
-                                        units: self.units_of(member),
-                                        best_jury: Jury::empty(),
-                                        best_value: lane_objective
-                                            .evaluate(&Jury::empty(), instance.prior()),
-                                    },
-                                )
-                            })
-                            .collect();
-
-                        let rounds = states.iter().map(|(_, lane)| lane.units).max().unwrap_or(0);
-                        'race: for unit in 0..rounds {
-                            for (_, lane) in states.iter_mut() {
-                                if unit >= lane.units {
-                                    continue;
-                                }
-                                if self.budget.exhausted(lane_objective.evaluations()) {
-                                    truncated.store(true, Ordering::Relaxed);
-                                    break 'race;
-                                }
-                                let (jury, value, cut) = match lane.member {
-                                    PortfolioMember::Tabu => {
-                                        tabu.run_once_shared(instance, unit, shared)
-                                    }
-                                    PortfolioMember::Restart => {
-                                        restart.run_once_shared(instance, unit, shared)
-                                    }
-                                    PortfolioMember::Annealing => annealing.anneal_once(
-                                        instance,
-                                        self.config.annealing.seed.wrapping_add(unit as u64),
-                                        &Jury::empty(),
-                                    ),
-                                };
-                                if cut {
-                                    truncated.store(true, Ordering::Relaxed);
-                                }
-                                if value > lane.best_value {
-                                    lane.best_value = value;
-                                    lane.best_jury = jury;
-                                    if steer {
-                                        bound.observe(value);
-                                    }
-                                }
-                            }
-                        }
-                        states
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| handle.join().expect("portfolio lane panicked"))
-                .collect()
-        });
-
-        // Lane retirement: absorb the warm per-lane arenas back into the
-        // parent so the next parallel solve starts warm.
-        for arena in &lane_arenas {
-            self.arena.absorb(arena);
-        }
-
-        // Greedy candidate folds, on the calling thread, exactly as the
-        // sequential race finishes its lanes.
-        for (_, lane) in lane_states.iter_mut() {
-            if !self.member_uses_greedy(lane.member) {
-                continue;
-            }
-            for jury in greedy_candidate_juries(instance) {
-                let value = self.objective.evaluate(&jury, instance.prior());
-                if value > lane.best_value {
-                    lane.best_value = value;
-                    lane.best_jury = jury;
-                }
-            }
-        }
-
-        // Restore race order, then fold with the sequential tie-break:
-        // strictly better value wins, ties keep the earlier member.
-        lane_states.sort_by_key(|(index, _)| *index);
-        let winner = lane_states
-            .iter()
-            .map(|(_, lane)| lane)
-            .enumerate()
-            .max_by(|(ia, a), (ib, b)| {
-                a.best_value
-                    .partial_cmp(&b.best_value)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| ib.cmp(ia))
-            })
-            .expect("a portfolio always has at least one member");
-
-        SolverResult {
-            jury: winner.1.best_jury.clone(),
-            objective_value: winner.1.best_value,
-            evaluations: self.objective.evaluations() - evaluations_before,
-            elapsed: start.elapsed(),
-            solver: winner.1.member.provenance(),
-            truncated: truncated.load(Ordering::Relaxed),
-        }
+        (runs, truncated)
     }
 }
 

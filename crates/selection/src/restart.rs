@@ -25,7 +25,7 @@ use crate::annealing::greedy_candidate_juries;
 use crate::budget::SearchBudget;
 use crate::greedy::MarginalSearch;
 use crate::objective::JuryObjective;
-use crate::parallel::{ParallelPolicy, SharedBestBound};
+use crate::parallel::{run_lanes, ParallelPolicy, SharedBestBound};
 use crate::problem::JspInstance;
 use crate::solver::{JurySolver, SolverResult};
 
@@ -51,11 +51,12 @@ pub struct RestartConfig {
     /// Whether the greedy top-quality and quality-per-cost fills also
     /// compete as candidate solutions.
     pub use_greedy_candidates: bool,
-    /// How the restart units are spread across threads. Each restart's
-    /// planting is a pure function of `(seed, restart index)` — the lane a
-    /// restart lands on never changes its RNG stream — and the fold
-    /// replays the sequential restart order, so the solved jury is
-    /// identical at every thread count.
+    /// How the restart units are spread across lanes: lane `t` runs
+    /// restarts `t, t + lanes, …`. Each restart's planting is a pure
+    /// function of `(seed, restart index)` — the lane a restart lands on
+    /// never changes its RNG stream — and one fold replays the restart
+    /// order, so an unbudgeted solve returns the same jury at every lane
+    /// count. The fan-out never steers on a cross-lane bound.
     pub parallel: ParallelPolicy,
 }
 
@@ -152,25 +153,20 @@ impl<O: JuryObjective> RestartSolver<O> {
     /// Crate-visible so the portfolio solver can race restarts one at a
     /// time with exactly the per-restart behaviour of a standalone
     /// [`RestartSolver::solve`] call.
-    pub(crate) fn run_once(&self, instance: &JspInstance, restart: usize) -> (Jury, f64, bool) {
-        self.run_once_shared(instance, restart, None)
-    }
-
-    /// [`run_once`](Self::run_once) with an optional cross-lane best bound.
     ///
-    /// When a bound is supplied (only by the threaded portfolio under a
-    /// limited budget), a finished restart whose session-guided value
-    /// trails the published best by more than [`RESTART_ACCEPTANCE_SLACK`]
-    /// skips its final batch re-score — it provably cannot win the fold —
-    /// and a restart that *is* re-scored publishes its value back. With
-    /// `bound = None` the run is bit-identical to the pre-parallel solver.
-    pub(crate) fn run_once_shared(
+    /// A cross-lane `bound` is supplied only by a portfolio racing on more
+    /// than one lane under a limited budget. A finished restart whose
+    /// session-guided value trails the published best by more than
+    /// [`RESTART_ACCEPTANCE_SLACK`] then skips its final batch re-score — it
+    /// provably cannot win the fold — and a restart that *is* re-scored
+    /// publishes its value back. [`RestartSolver::solve`] itself always
+    /// passes `None`, at any lane count.
+    pub(crate) fn run_once(
         &self,
         instance: &JspInstance,
         restart: usize,
         bound: Option<&SharedBestBound>,
     ) -> (Jury, f64, bool) {
-        let workers = instance.pool().workers();
         let mut search = MarginalSearch::new(&self.objective, instance).with_budget(self.budget);
         if restart > 0 {
             let n = instance.num_candidates();
@@ -183,6 +179,7 @@ impl<O: JuryObjective> RestartSolver<O> {
             // Plant random workers up to a random fraction of the budget;
             // the marginal rounds then fill what remains.
             let target = instance.budget() * rng.gen::<f64>() * self.config.max_seed_fraction;
+            let workers = instance.pool().workers();
             let mut planted = Vec::new();
             let mut spent = 0.0;
             for index in order {
@@ -192,9 +189,9 @@ impl<O: JuryObjective> RestartSolver<O> {
                     planted.push(index);
                 }
             }
-            search.preseed(workers, &planted, instance.budget());
+            search.preseed(&planted, instance.budget());
         }
-        search.extend_to(workers, instance.budget());
+        search.extend_to(instance.budget());
         let jury = search.jury().clone();
         if let Some(shared) = bound {
             let guided = search.current_value();
@@ -231,62 +228,33 @@ impl<O: JuryObjective> JurySolver for RestartSolver<O> {
         let mut best_value = self.objective.evaluate(&best_jury, instance.prior());
         let mut truncated = false;
 
+        // Lane `t` runs restarts `t, t + lanes, …`. Each restart's planting
+        // depends only on `(seed, restart index)`, so the set of candidate
+        // juries is the one-lane set; the fold below replays the restart
+        // order (strict improvement), so the winner is too.
         let restarts = self.config.restarts.max(1);
         let lanes = self.config.parallel.lanes(restarts);
-        if lanes > 1 {
-            // Fan-out: lane `t` runs restarts `t, t + lanes, …`. Each
-            // restart's planting depends only on `(seed, restart index)`,
-            // so the set of candidate juries is the sequential one; the
-            // fold below replays the sequential restart order (strict
-            // improvement), so the winner is too.
-            use std::sync::atomic::{AtomicBool, Ordering};
-            let cut_flag = AtomicBool::new(false);
-            let lane_results: Vec<Vec<(usize, RestartUnit)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..lanes)
-                    .map(|lane| {
-                        let cut_flag = &cut_flag;
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            for restart in (lane..restarts).step_by(lanes) {
-                                if self.budget.exhausted(self.objective.evaluations()) {
-                                    cut_flag.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                                out.push((restart, self.run_once(instance, restart)));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("restart lane panicked"))
-                    .collect()
-            });
-            truncated |= cut_flag.load(Ordering::Relaxed);
-            let mut ordered: Vec<Option<RestartUnit>> = vec![None; restarts];
-            for (restart, result) in lane_results.into_iter().flatten() {
-                ordered[restart] = Some(result);
-            }
-            for (jury, value, cut) in ordered.into_iter().flatten() {
-                truncated |= cut;
-                if value > best_value {
-                    best_value = value;
-                    best_jury = jury;
-                }
-            }
-        } else {
-            for restart in 0..restarts {
+        let lane_runs = run_lanes(lanes, |lane| {
+            let mut out = Vec::new();
+            for restart in (lane..restarts).step_by(lanes) {
                 if self.budget.exhausted(self.objective.evaluations()) {
-                    truncated = true;
-                    break;
+                    return (out, true);
                 }
-                let (jury, value, cut) = self.run_once(instance, restart);
-                truncated |= cut;
-                if value > best_value {
-                    best_value = value;
-                    best_jury = jury;
-                }
+                out.push((restart, self.run_once(instance, restart, None)));
+            }
+            (out, false)
+        });
+        let mut units: Vec<(usize, RestartUnit)> = Vec::with_capacity(restarts);
+        for (lane_units, cut) in lane_runs {
+            truncated |= cut;
+            units.extend(lane_units);
+        }
+        units.sort_unstable_by_key(|&(restart, _)| restart);
+        for (_, (jury, value, cut)) in units {
+            truncated |= cut;
+            if value > best_value {
+                best_value = value;
+                best_jury = jury;
             }
         }
 

@@ -189,19 +189,14 @@ impl<O: JuryObjective> TabuSolver<O> {
     /// Crate-visible so the portfolio solver can race tabu one restart at a
     /// time with exactly the per-restart behaviour of a standalone
     /// [`TabuSolver::solve`] call.
-    pub(crate) fn run_once(&self, instance: &JspInstance, restart: usize) -> (Jury, f64, bool) {
-        self.run_once_shared(instance, restart, None)
-    }
-
-    /// [`run_once`](Self::run_once) with an optional cross-lane best bound.
     ///
-    /// When a bound is supplied (only by the threaded portfolio under a
-    /// limited budget), the aspiration floor is raised to the best value
-    /// published by **any** lane — a tabu move must beat the global race
-    /// leader, not just this run, to override its tenure — and the run's
-    /// final batch score is published back. With `bound = None` the run is
-    /// bit-identical to the pre-parallel solver (no atomic reads).
-    pub(crate) fn run_once_shared(
+    /// A cross-lane `bound` is supplied only by a portfolio racing on more
+    /// than one lane under a limited budget. It raises the aspiration floor
+    /// to the best value published by **any** lane — a tabu move must beat
+    /// the global race leader, not just this run, to override its tenure —
+    /// and the run's final batch score is published back. With
+    /// `bound = None` the run reads no atomics beyond the objective's own.
+    pub(crate) fn run_once(
         &self,
         instance: &JspInstance,
         restart: usize,
@@ -254,7 +249,7 @@ impl<O: JuryObjective> TabuSolver<O> {
 
             // With a cross-lane bound, aspiration must clear the whole
             // race's best, not just this run's (one relaxed read per
-            // iteration; `None` in sequential mode keeps replay exact).
+            // iteration; a single lane passes `None` and never reads it).
             let aspiration_floor = match bound {
                 Some(shared) => best_value.max(shared.current()),
                 None => best_value,
@@ -428,7 +423,7 @@ impl<O: JuryObjective> JurySolver for TabuSolver<O> {
                 truncated = true;
                 break;
             }
-            let (jury, value, cut) = self.run_once(instance, restart);
+            let (jury, value, cut) = self.run_once(instance, restart, None);
             truncated |= cut;
             if value > best_value {
                 best_value = value;

@@ -126,15 +126,15 @@ pub struct ServiceConfig {
     /// Worker threads used by [`crate::JuryService::select_batch`] and the
     /// other batch entry points; `0` means one per available CPU core.
     pub batch_threads: usize,
-    /// OS threads a *single* solve may use: the portfolio races its
-    /// members on scoped threads and the greedy fallback parallelizes its
-    /// probe rounds. `1` (the default) is the sequential solver,
-    /// bit-identical to the pre-parallel service; `0` means one per
-    /// available CPU core. **Batch parallelism has priority**: a batch
-    /// already running more than one worker thread serves each slot's
-    /// solver sequentially, so the two levels never oversubscribe the
-    /// machine (`batch_threads × solver_threads` stays bounded by the
-    /// larger of the two knobs).
+    /// Lanes (scoped OS threads) a *single* solve may use: the portfolio
+    /// deals its members onto the lanes and the greedy fallback splits its
+    /// probe rounds across them. `1` (the default) runs every solve on one
+    /// lane, on the calling thread; `0` means one per available CPU core.
+    /// **Batch parallelism has priority**: a batch already running more
+    /// than one worker thread serves each slot's solver on one lane, so
+    /// the two levels never oversubscribe the machine
+    /// (`batch_threads × solver_threads` stays bounded by the larger of
+    /// the two knobs).
     pub solver_threads: usize,
     /// Maximum requests the batch entry points serve concurrently before
     /// the [`OverloadPolicy`] kicks in; `0` disables admission control

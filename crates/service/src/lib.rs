@@ -102,6 +102,11 @@ pub mod request;
 pub mod response;
 pub mod service;
 
+// The batch engine fans out through the same lane runner as the threaded
+// solvers: one source file, compiled privately into both crates.
+#[path = "../../selection/src/parallel/lanes.rs"]
+mod lanes;
+
 pub use cache::{CacheKindStats, CacheStats};
 pub use config::{OverloadPolicy, ServiceConfig, SweepPolicy};
 pub use error::ServiceError;

@@ -10,8 +10,6 @@
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use jury_jq::MultiClassIncrementalConfig;
@@ -26,6 +24,7 @@ use jury_selection::{
 use crate::cache::{CacheStats, CachedMultiClassObjective, CachedObjective, JqCache};
 use crate::config::{OverloadPolicy, ServiceConfig, SweepPolicy};
 use crate::error::ServiceError;
+use crate::lanes::run_lanes;
 use crate::request::{
     MixedRequest, MultiClassSelectionRequest, RequestOptions, SelectionRequest, SolverPolicy,
     Strategy,
@@ -211,8 +210,8 @@ impl JuryService {
     ///
     /// `sequential_solver` applies the batch-over-solver thread priority:
     /// when the surrounding batch has already fanned its slots out across
-    /// worker threads, this request's solve runs its lanes sequentially
-    /// instead of oversubscribing the same cores.
+    /// worker threads, this request's solve runs on one lane instead of
+    /// oversubscribing the same cores.
     fn serve_anytime<R: SelectKind>(
         &self,
         request: &R,
@@ -435,9 +434,10 @@ impl JuryService {
 
     /// The shared thread-parallel batch engine behind [`Self::select_batch`]
     /// and its multi-class and mixed siblings: dynamic scheduling, where
-    /// workers pull the next unclaimed item from a shared counter, so a few
-    /// expensive requests cannot serialize the batch behind one thread the
-    /// way static chunking would.
+    /// the lanes pull the next unclaimed item from a shared counter, so a
+    /// few expensive requests cannot serialize the batch behind one lane
+    /// the way static chunking would. One lane serves the batch on the
+    /// calling thread, in order.
     ///
     /// Every serve call runs under `catch_unwind`: a panicking solver fills
     /// its own slot with [`ServiceError::Internal`] instead of unwinding
@@ -456,46 +456,23 @@ impl JuryService {
                 })
             })
         };
-        let threads = self.batch_threads(items.len());
-        if threads <= 1 {
-            return items.iter().map(caught).collect();
-        }
-
+        // Each lane pulls the next unclaimed index until the batch runs
+        // dry, and returns the `(index, result)` pairs it served.
         let next = AtomicUsize::new(0);
-        let (sender, receiver) = mpsc::channel();
-        thread::scope(|scope| {
-            for _ in 0..threads {
-                let sender = sender.clone();
-                let next = &next;
-                let caught = &caught;
-                scope.spawn(move || loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(index) else {
-                        break;
-                    };
-                    if sender.send((index, caught(item))).is_err() {
-                        break;
-                    }
-                });
+        let lane_results = run_lanes(self.batch_threads(items.len()), |_| {
+            let mut served = Vec::new();
+            loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(index) else {
+                    return served;
+                };
+                served.push((index, caught(item)));
             }
         });
-        drop(sender);
-
-        let mut slots: Vec<Option<Result<R, ServiceError>>> =
-            (0..items.len()).map(|_| None).collect();
-        for (index, result) in receiver {
-            slots[index] = Some(result);
-        }
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    Err(ServiceError::Internal {
-                        reason: "a batch slot was never filled".to_string(),
-                    })
-                })
-            })
-            .collect()
+        let mut slots: Vec<(usize, Result<R, ServiceError>)> =
+            lane_results.into_iter().flatten().collect();
+        slots.sort_unstable_by_key(|&(index, _)| index);
+        slots.into_iter().map(|(_, result)| result).collect()
     }
 
     /// One request's trip through the admission gate of the batch entry
@@ -547,8 +524,8 @@ impl JuryService {
     fn serve_batch<R: Serve>(&self, requests: &[R]) -> BatchOutcome<R::Response> {
         let counters = AdmissionCounters::default();
         // Batch wins the cores: once the batch itself fans out across
-        // worker threads, each slot's solver runs its lanes sequentially
-        // rather than oversubscribing (see `ServiceConfig::solver_threads`).
+        // worker threads, each slot's solver runs on one lane rather than
+        // oversubscribing (see `ServiceConfig::solver_threads`).
         let sequential_solver = self.batch_threads(requests.len()) > 1;
         let results = self.run_batch(requests, |request| {
             self.serve_gated(request, &counters, sequential_solver)
