@@ -21,10 +21,13 @@
 //! * [`IncrementalJq::swap_worker`] composes the two, so an annealing
 //!   neighbour costs `O(buckets)` instead of `O(n · buckets)`.
 //!
-//! The engine works on a **fixed bucket grid** chosen once per candidate
-//! pool ([`IncrementalJq::for_pool`]), unlike the scratch estimator whose
-//! grid is re-derived per jury; with the same grid the two produce identical
-//! results (see the property tests at the bottom of this module).
+//! The engine works on a **fixed bucket grid** chosen once per session
+//! ([`IncrementalJq::for_pool_in`]), unlike the scratch estimator whose grid
+//! is re-derived per jury; with the same grid the two produce identical
+//! results (see the property tests at the bottom of this module). The grid
+//! spans the pool's largest log-odds weight and is resolved for the largest
+//! jury the session will hold: the whole pool for [`IncrementalJq::for_pool`],
+//! the largest affordable jury for the selection layer's sessions.
 //!
 //! [`IncrementalMvJq`] is the majority-voting counterpart: it maintains the
 //! Poisson-binomial vote-count distributions of [`crate::mv`] under the same
@@ -64,11 +67,11 @@ use crate::kernel::{self, JqScratch, KernelMode};
 /// Configuration of the incremental JQ engine's bucket grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IncrementalJqConfig {
-    /// Grid resolution, resolved against the *pool* size (the grid must stay
-    /// fixed while juries mutate, so it cannot follow the jury size the way
-    /// the scratch estimator's does).
+    /// Grid resolution, resolved against the largest jury a session will
+    /// hold (the grid must stay fixed while juries mutate, so it cannot
+    /// follow the current jury size the way the scratch estimator's does).
     pub buckets: BucketCount,
-    /// Upper bound on the total bucket weight `Σ b_i` a full-pool jury may
+    /// Upper bound on the total bucket weight `Σ b_i` the largest jury may
     /// reach; the per-worker bucket count is capped so the dense array never
     /// outgrows this many slots per side.
     pub max_total_weight: i64,
@@ -113,11 +116,12 @@ impl IncrementalJqConfig {
         self
     }
 
-    /// The number of buckets per maximal log-odds weight for a pool of `n`
-    /// candidates, after applying the total-weight cap.
-    pub fn resolve_buckets(&self, pool_size: usize) -> usize {
-        let uncapped = self.buckets.resolve(pool_size);
-        let cap = (self.max_total_weight / pool_size.max(1) as i64).max(1) as usize;
+    /// The number of buckets per maximal log-odds weight for juries of at
+    /// most `n` terms (workers, plus the prior's pseudo-worker when one is
+    /// folded in), after applying the total-weight cap.
+    pub fn resolve_buckets(&self, n: usize) -> usize {
+        let uncapped = self.buckets.resolve(n);
+        let cap = (self.max_total_weight / n.max(1) as i64).max(1) as usize;
         uncapped.min(cap).max(1)
     }
 }
@@ -208,25 +212,32 @@ impl IncrementalJq {
         }
     }
 
-    /// Creates an engine whose grid is sized for juries drawn from `pool`,
+    /// Creates an engine whose grid is sized for any jury drawn from `pool`,
     /// with the prior already folded in as the Theorem 3 pseudo-worker.
     ///
     /// The grid width is the pool's largest effective log-odds weight (or
-    /// the prior's, if larger) divided by the resolved bucket count, so
-    /// every feasible jury of the pool quantizes onto the same grid.
+    /// the prior's, if larger) divided by the bucket count resolved for the
+    /// whole pool, so every jury of the pool quantizes onto the same grid.
     pub fn for_pool(pool: &WorkerPool, prior: Prior, config: IncrementalJqConfig) -> Self {
         let mut arena = JqScratch::new();
-        Self::for_pool_in(pool, prior, config, &mut arena)
+        Self::for_pool_in(pool, prior, config, pool.len(), &mut arena)
     }
 
-    /// [`Self::for_pool`], drawing the engine's buffers from `arena` instead
-    /// of allocating. The selection layer keeps one arena per objective and
-    /// recycles session engines into it, so only the first session on a
-    /// given grid pays the allocations.
+    /// [`Self::for_pool`] for juries of at most `max_jury_size` workers,
+    /// drawing the engine's buffers from `arena` instead of allocating.
+    ///
+    /// The bucket count (and its total-weight cap) is resolved for
+    /// `max_jury_size` terms, plus one for a non-uniform prior's
+    /// pseudo-worker, so the §4.4 bound `e^{upper / (4d)} − 1` of a
+    /// `PerWorker(d)` grid holds for every jury of at most that size. The
+    /// selection layer passes the largest affordable jury, keeps one arena
+    /// per objective and recycles session engines into it, so only the
+    /// first session on a given grid pays the allocations.
     pub fn for_pool_in(
         pool: &WorkerPool,
         prior: Prior,
         config: IncrementalJqConfig,
+        max_jury_size: usize,
         arena: &mut JqScratch,
     ) -> Self {
         let prior_quality = prior.alpha().max(1.0 - prior.alpha());
@@ -238,7 +249,8 @@ impl IncrementalJq {
         for worker in pool.iter() {
             phi_max = phi_max.max(log_odds(worker.effective_quality()));
         }
-        let buckets = config.resolve_buckets(pool.len()) as f64;
+        let terms = max_jury_size + usize::from(!prior.is_uniform());
+        let buckets = config.resolve_buckets(terms) as f64;
         let bucket_size = if phi_max > 0.0 {
             phi_max / buckets
         } else {
@@ -868,6 +880,35 @@ mod tests {
     }
 
     #[test]
+    fn jury_sized_grids_resolve_for_the_jury_and_the_prior_term() {
+        let pool = jury_model::paper_example_pool();
+        let config = IncrementalJqConfig::default();
+        let phi_max = pool
+            .iter()
+            .map(|w| log_odds(w.effective_quality()))
+            .fold(0.0f64, f64::max);
+        let mut arena = JqScratch::new();
+        let jury = IncrementalJq::for_pool_in(&pool, Prior::uniform(), config, 3, &mut arena);
+        assert_eq!(
+            jury.bucket_size(),
+            phi_max / config.resolve_buckets(3) as f64
+        );
+        let whole = IncrementalJq::for_pool(&pool, Prior::uniform(), config);
+        assert_eq!(
+            whole.bucket_size(),
+            phi_max / config.resolve_buckets(pool.len()) as f64
+        );
+        // A folded prior is one more term of the Equation 8 sum.
+        let prior = Prior::new(0.6).unwrap();
+        let folded = IncrementalJq::for_pool_in(&pool, prior, config, 3, &mut arena);
+        assert_eq!(
+            folded.bucket_size(),
+            phi_max / config.resolve_buckets(4) as f64
+        );
+        assert_eq!(folded.len(), 1);
+    }
+
+    #[test]
     fn degenerate_grids_are_handled() {
         // All coin flips: grid collapses to zero width, JQ stays ½.
         let pool = jury_model::WorkerPool::from_qualities(&[0.5, 0.5]).unwrap();
@@ -950,7 +991,8 @@ mod tests {
         let pool = jury_model::paper_example_pool();
         let mut arena = JqScratch::new();
         let config = IncrementalJqConfig::default();
-        let mut warm = IncrementalJq::for_pool_in(&pool, Prior::uniform(), config, &mut arena);
+        let mut warm =
+            IncrementalJq::for_pool_in(&pool, Prior::uniform(), config, pool.len(), &mut arena);
         for worker in pool.iter() {
             warm.push_worker(worker);
         }
@@ -958,7 +1000,8 @@ mod tests {
         warm.recycle(&mut arena);
         assert!(arena.buffers_held() >= 2);
         // A second engine from the warm arena reproduces the value exactly.
-        let mut again = IncrementalJq::for_pool_in(&pool, Prior::uniform(), config, &mut arena);
+        let mut again =
+            IncrementalJq::for_pool_in(&pool, Prior::uniform(), config, pool.len(), &mut arena);
         for worker in pool.iter() {
             again.push_worker(worker);
         }

@@ -132,8 +132,9 @@ impl BudgetQualityTable {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let max_budget = budgets.iter().copied().fold(0.0f64, f64::max);
-        // The session is sized for the pool, so one instance (at the widest
-        // budget) serves the whole sweep.
+        // The session is sized for the largest jury the widest budget
+        // affords, which bounds every narrower row's jury too, so one
+        // instance (at the widest budget) serves the whole sweep.
         let instance = JspInstance::new(pool.clone(), max_budget, prior)
             .expect("budgets are validated by the caller");
         let mut search = MarginalSearch::new(objective, &instance).with_budget(search_budget);

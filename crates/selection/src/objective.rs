@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use jury_jq::{
     BucketJqConfig, IncrementalJq, IncrementalJqConfig, IncrementalMvJq, JqEngine, SharedJqScratch,
 };
-use jury_model::{Jury, Prior, Worker, WorkerPool};
+use jury_model::{Jury, Prior, Worker};
 
 use crate::problem::JspInstance;
 
@@ -122,11 +122,11 @@ impl<O: JuryObjective + ?Sized> JuryObjective for &O {
 /// evaluations ticking a caller-owned counter.
 ///
 /// The engine lives in an `Option` only so `Drop` can move it back into the
-/// shared scratch arena (when one was provided); it is `Some` for the whole
-/// usable life of the session.
+/// shared scratch arena; it is `Some` for the whole usable life of the
+/// session.
 struct BvSession<'a> {
     engine: Option<IncrementalJq>,
-    scratch: Option<&'a SharedJqScratch>,
+    scratch: &'a SharedJqScratch,
     evaluations: &'a AtomicU64,
 }
 
@@ -156,8 +156,8 @@ impl IncrementalSession for BvSession<'_> {
 
 impl Drop for BvSession<'_> {
     fn drop(&mut self) {
-        if let (Some(engine), Some(shared)) = (self.engine.take(), self.scratch) {
-            engine.recycle(&mut shared.lock());
+        if let Some(engine) = self.engine.take() {
+            engine.recycle(&mut self.scratch.lock());
         }
     }
 }
@@ -165,7 +165,7 @@ impl Drop for BvSession<'_> {
 /// [`IncrementalSession`] over `JQ(J, MV, α)` via [`IncrementalMvJq`].
 struct MvSession<'a> {
     engine: Option<IncrementalMvJq>,
-    scratch: Option<&'a SharedJqScratch>,
+    scratch: &'a SharedJqScratch,
     prior: Prior,
     evaluations: &'a AtomicU64,
 }
@@ -196,39 +196,23 @@ impl IncrementalSession for MvSession<'_> {
 
 impl Drop for MvSession<'_> {
     fn drop(&mut self) {
-        if let (Some(engine), Some(shared)) = (self.engine.take(), self.scratch) {
-            engine.recycle(&mut shared.lock());
+        if let Some(engine) = self.engine.take() {
+            engine.recycle(&mut self.scratch.lock());
         }
     }
 }
 
-/// Builds a BV incremental session on the grid induced by `bucket` for
-/// juries drawn from `pool`, ticking `evaluations` on every `value` call.
-/// Exposed so other crates' objectives (e.g. `jury-service`'s cache-backed
-/// one) can reuse the exact session wiring of [`BvObjective`].
-pub fn bv_incremental_session<'a>(
-    pool: &WorkerPool,
-    prior: Prior,
-    bucket: BucketJqConfig,
-    evaluations: &'a AtomicU64,
-) -> Box<dyn IncrementalSession + 'a> {
-    let config = IncrementalJqConfig::default()
-        .with_buckets(bucket.buckets)
-        .with_kernel_mode(bucket.kernel);
-    Box::new(BvSession {
-        engine: Some(IncrementalJq::for_pool(pool, prior, config)),
-        scratch: None,
-        evaluations,
-    })
-}
-
-/// [`bv_incremental_session`], drawing the engine's buffers from a shared
-/// scratch arena and recycling them into it when the session drops. With a
-/// warm arena, opening and closing sessions is allocation-free (up to the
-/// session `Box` itself).
+/// Builds a BV incremental session for the instance's juries on the grid
+/// induced by `bucket`, ticking `evaluations` on every `value` call. The
+/// grid is resolved for [`JspInstance::max_jury_size`] — every jury a
+/// search over the instance can hold — not for the whole pool. The engine's
+/// buffers come from a shared scratch arena and go back to it when the
+/// session drops, so with a warm arena opening and closing sessions is
+/// allocation-free (up to the session `Box` itself). Exposed so other
+/// crates' objectives (e.g. `jury-service`'s cache-backed one) reuse the
+/// exact session wiring of [`BvObjective`].
 pub fn bv_incremental_session_in<'a>(
-    pool: &WorkerPool,
-    prior: Prior,
+    instance: &JspInstance,
     bucket: BucketJqConfig,
     evaluations: &'a AtomicU64,
     scratch: &'a SharedJqScratch,
@@ -236,29 +220,23 @@ pub fn bv_incremental_session_in<'a>(
     let config = IncrementalJqConfig::default()
         .with_buckets(bucket.buckets)
         .with_kernel_mode(bucket.kernel);
-    let engine = IncrementalJq::for_pool_in(pool, prior, config, &mut scratch.lock());
+    let engine = IncrementalJq::for_pool_in(
+        instance.pool(),
+        instance.prior(),
+        config,
+        instance.max_jury_size(),
+        &mut scratch.lock(),
+    );
     Box::new(BvSession {
         engine: Some(engine),
-        scratch: Some(scratch),
+        scratch,
         evaluations,
     })
 }
 
-/// Builds an MV incremental session (see [`bv_incremental_session`]).
-pub fn mv_incremental_session(
-    prior: Prior,
-    evaluations: &AtomicU64,
-) -> Box<dyn IncrementalSession + '_> {
-    Box::new(MvSession {
-        engine: Some(IncrementalMvJq::new()),
-        scratch: None,
-        prior,
-        evaluations,
-    })
-}
-
-/// [`mv_incremental_session`], arena-backed (see
-/// [`bv_incremental_session_in`]).
+/// Builds an MV incremental session, arena-backed like
+/// [`bv_incremental_session_in`]. The MV engine is exact, so it has no grid
+/// to size.
 pub fn mv_incremental_session_in<'a>(
     prior: Prior,
     evaluations: &'a AtomicU64,
@@ -267,7 +245,7 @@ pub fn mv_incremental_session_in<'a>(
     let engine = IncrementalMvJq::new_in(&mut scratch.lock());
     Box::new(MvSession {
         engine: Some(engine),
-        scratch: Some(scratch),
+        scratch,
         prior,
         evaluations,
     })
@@ -333,8 +311,7 @@ impl JuryObjective for BvObjective {
             return None;
         }
         Some(bv_incremental_session_in(
-            instance.pool(),
-            instance.prior(),
+            instance,
             *self.engine.bucket_estimator().config(),
             &self.evaluations,
             &self.scratch,
@@ -350,8 +327,7 @@ impl JuryObjective for BvObjective {
             return None;
         }
         Some(bv_incremental_session_in(
-            instance.pool(),
-            instance.prior(),
+            instance,
             *self.engine.bucket_estimator().config(),
             &self.evaluations,
             arena,
@@ -516,5 +492,115 @@ mod tests {
         let jury = Jury::new(workers[..3].to_vec());
         let direct = obj.evaluate(&jury, Prior::uniform());
         assert!((session.value() - direct).abs() < 1e-12);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use jury_jq::bounds::{error_bound_per_worker, PAPER_RECOMMENDED_MULTIPLIER};
+    use jury_model::{log_odds, WorkerPool};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Pools of 15–20 candidates: above the default exact cutoff (14), so
+    /// `BvObjective` opens a session.
+    fn session_pool() -> impl Strategy<Value = WorkerPool> {
+        proptest::collection::vec(((0.3f64..0.95), (0.5f64..2.0)), 15..21).prop_map(|pairs| {
+            let (qualities, costs): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+            WorkerPool::from_qualities_and_costs(&qualities, &costs).unwrap()
+        })
+    }
+
+    /// Walks random feasible juries through a budget-sized session and
+    /// checks every value against exact enumeration within the §4.4 bound
+    /// `e^{φ_max / 800} − 1` of the default `PerWorker(200)` grid.
+    fn check_walk(instance: &JspInstance, seed: u64) -> Result<(), String> {
+        let prior = instance.prior();
+        let workers = instance.pool().workers();
+        let mut phi_max = workers
+            .iter()
+            .map(|w| log_odds(w.effective_quality()))
+            .fold(0.0f64, f64::max);
+        if !prior.is_uniform() {
+            phi_max = phi_max.max(log_odds(prior.alpha().max(1.0 - prior.alpha())));
+        }
+        let bound = error_bound_per_worker(phi_max, PAPER_RECOMMENDED_MULTIPLIER);
+
+        let objective = BvObjective::new();
+        let mut session = objective
+            .incremental_session(instance)
+            .ok_or("pools past the exact cutoff open a session")?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut members: Vec<Worker> = Vec::new();
+        let mut spent = 0.0;
+        for _ in 0..24 {
+            let grow = members.is_empty() || rng.gen_bool(0.65);
+            if grow {
+                let affordable: Vec<&Worker> = workers
+                    .iter()
+                    .filter(|w| {
+                        !members.iter().any(|m| m.id() == w.id())
+                            && spent + w.cost() <= instance.budget() + 1e-12
+                    })
+                    .collect();
+                if affordable.is_empty() {
+                    continue;
+                }
+                let worker = affordable[rng.gen_range(0..affordable.len())].clone();
+                session.push(&worker);
+                spent += worker.cost();
+                members.push(worker);
+            } else {
+                let worker = members.swap_remove(rng.gen_range(0..members.len()));
+                if !session.pop(&worker) {
+                    return Err("session lost a member".into());
+                }
+                spent -= worker.cost();
+            }
+            let jury = Jury::new(members.clone());
+            if !instance.is_feasible(&jury) || jury.size() > instance.max_jury_size() {
+                return Err(format!(
+                    "walk left the feasible set at {} members",
+                    jury.size()
+                ));
+            }
+            let exact = jury_jq::exact_bv_jq(&jury, prior).map_err(|e| e.to_string())?;
+            let error = (session.value() - exact).abs();
+            if error >= bound {
+                return Err(format!(
+                    "{} members: |session − exact| = {error} ≥ bound {bound}",
+                    jury.size()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn budget_sized_sessions_keep_the_paper_bound(
+            pool in session_pool(),
+            budget in 1.0f64..7.0,
+            seed in 0u64..1_000_000,
+        ) {
+            let instance = JspInstance::with_uniform_prior(pool, budget).unwrap();
+            check_walk(&instance, seed)?;
+        }
+
+        #[test]
+        fn budget_sized_sessions_keep_the_paper_bound_under_a_prior(
+            pool in session_pool(),
+            budget in 1.0f64..7.0,
+            alpha in 0.1f64..0.9,
+            seed in 0u64..1_000_000,
+        ) {
+            let prior = Prior::new(alpha).unwrap();
+            let instance = JspInstance::new(pool, budget, prior).unwrap();
+            check_walk(&instance, seed)?;
+        }
     }
 }

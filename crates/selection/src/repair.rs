@@ -163,8 +163,25 @@ pub fn repair_jury<O: JuryObjective>(
     // The session tracks the current jury; probes mutate it by one worker
     // and restore. A pop that fails (impossible with the shipped engines)
     // abandons the session for batch evaluation, as in the greedy searches.
+    // Its grid is sized for the largest jury it will hold: pushes stay
+    // within the budget and swaps keep the size, so that is the larger of
+    // the largest affordable jury and the deployed one, which may exceed
+    // the budget. A deployed jury of `m` members then gets the session of
+    // an instance whose budget buys `m` of the cheapest worker. (Such a
+    // jury admits no move: no push fits the budget, and a swap would need
+    // a feasible jury of `m` members. Only the session's opening value
+    // reads it, and that value stays within the bound.)
+    let widened;
+    let session_instance = match instance.cheapest_cost() {
+        Some(cheapest) if jury_idx.len() > instance.max_jury_size() => {
+            let covering = budget.max(jury_idx.len() as f64 * cheapest);
+            widened = JspInstance::new(instance.pool().clone(), covering, prior)?;
+            &widened
+        }
+        _ => instance,
+    };
     let mut session: Option<Box<dyn IncrementalSession + '_>> =
-        objective.incremental_session(instance);
+        objective.incremental_session(session_instance);
     let mut current_value = match &mut session {
         Some(live) => {
             for &i in &jury_idx {

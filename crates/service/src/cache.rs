@@ -397,8 +397,7 @@ impl JuryObjective for CachedObjective<'_> {
                     return None;
                 }
                 Some(bv_incremental_session_in(
-                    instance.pool(),
-                    instance.prior(),
+                    instance,
                     *self.engine.bucket_estimator().config(),
                     &self.requests,
                     arena,

@@ -512,6 +512,47 @@ mod tests {
     }
 
     #[test]
+    fn over_budget_juries_larger_than_the_affordable_bound_still_match_a_cold_resolve() {
+        // 16 unit-cost workers: past the exact cutoff, so the repair search
+        // opens a session. Budget 3 affords at most 3 members, but the
+        // tracked jury holds 5 near-coin-flip workers, so the session must
+        // be sized for the deployed jury rather than the affordable one.
+        let service = JuryService::new(ServiceConfig::fast());
+        let mut registry = WorkerRegistry::new(RegistryConfig::default()).unwrap();
+        for w in 0..16u32 {
+            let quality = if w < 5 { 0.52 } else { 0.7 + 0.01 * w as f64 };
+            registry
+                .register_with_quality(WorkerId(w), quality, 100.0, 1.0)
+                .unwrap();
+        }
+        let deployed: Vec<WorkerId> = (0..5).map(WorkerId).collect();
+        let instance =
+            JspInstance::new(registry.snapshot_pool().unwrap(), 3.0, Prior::uniform()).unwrap();
+        assert!(deployed.len() > instance.max_jury_size());
+
+        let mut detector = DriftDetector::new(0.02);
+        let id = detector.track(deployed, 3.0, Prior::uniform(), 0.95, registry.epoch());
+        let response = service.repair(&registry, &mut detector, id).unwrap();
+        // No swap or push can make 5 unit-cost members affordable, so the
+        // patch leaves the jury as is and the cold re-solve replaces it.
+        assert_eq!(response.outcome, RepairOutcome::Resolved);
+        assert!(response.cost <= 3.0 + 1e-9);
+
+        let cold = service
+            .select(
+                &SelectionRequest::new(registry.snapshot_pool().unwrap(), 3.0)
+                    .with_prior(Prior::uniform()),
+            )
+            .unwrap();
+        assert!(
+            (response.quality - cold.quality).abs() < 1e-9,
+            "repaired {} vs cold {}",
+            response.quality,
+            cold.quality
+        );
+    }
+
+    #[test]
     fn repair_batch_commits_every_successful_slot() {
         let service = JuryService::new(ServiceConfig::fast());
         let mut registry = seeded_registry();
