@@ -24,12 +24,14 @@
 //! (top-quality and quality-per-cost) as additional candidate solutions. The
 //! best jury over all candidates is returned.
 //!
-//! When the objective offers an incremental session (see
-//! [`crate::objective::IncrementalSession`]), each add/swap step mutates a
-//! live dense-DP state in `O(buckets)` instead of re-evaluating a cloned
-//! jury from scratch — the engine behind the paper's "thousands of JQ
-//! evaluations per search" hot path. Final juries are always re-scored
-//! through the batch objective, so reported qualities are unaffected.
+//! Every add/swap step goes through the objective's
+//! [`crate::objective::IncrementalSession`]. Where the objective has an
+//! incremental engine for the pool, a step mutates a live dense-DP state in
+//! `O(buckets)` instead of re-evaluating the jury from scratch — the engine
+//! behind the paper's "thousands of JQ evaluations per search" hot path;
+//! elsewhere the session answers through the batch objective. Final juries
+//! are always re-scored through the batch objective, so reported qualities
+//! do not depend on the session.
 
 use std::time::Instant;
 
@@ -63,14 +65,6 @@ pub struct AnnealingConfig {
     /// Whether to also evaluate the greedy top-quality and quality-per-cost
     /// juries as candidate solutions.
     pub use_greedy_candidates: bool,
-    /// Whether to steer the search through the objective's incremental
-    /// session (when it offers one), so each add/swap step costs
-    /// `O(buckets)` instead of a from-scratch JQ evaluation. The final jury
-    /// is always re-scored through the batch objective, so this switch
-    /// affects only search *speed* and tie-breaking on near-equal
-    /// neighbours; turning it off recovers the historical evaluate-per-step
-    /// behaviour for ablations.
-    pub use_incremental: bool,
 }
 
 impl Default for AnnealingConfig {
@@ -82,7 +76,6 @@ impl Default for AnnealingConfig {
             seed: 0x5EED,
             restarts: 4,
             use_greedy_candidates: true,
-            use_incremental: true,
         }
     }
 }
@@ -119,12 +112,6 @@ impl AnnealingConfig {
     /// Enables or disables the greedy candidate juries.
     pub fn with_greedy_candidates(mut self, enabled: bool) -> Self {
         self.use_greedy_candidates = enabled;
-        self
-    }
-
-    /// Enables or disables incremental-session search guidance.
-    pub fn with_incremental(mut self, enabled: bool) -> Self {
-        self.use_incremental = enabled;
         self
     }
 
@@ -299,32 +286,12 @@ impl<O: JuryObjective> AnnealingSolver<O> {
         &self.objective
     }
 
-    /// The search-guidance value of the current state: the session's value
-    /// when one is active (quantized, `O(buckets)`), the batch objective
-    /// otherwise.
-    fn current_value(
-        &self,
-        state: &mut SearchState,
-        instance: &JspInstance,
-        session: &Option<Box<dyn IncrementalSession + '_>>,
-    ) -> f64 {
-        if let Some(v) = state.current_value {
-            return v;
-        }
-        let v = match session {
-            Some(session) => session.value(),
-            None => self.objective.evaluate(&state.jury(), instance.prior()),
-        };
-        state.current_value = Some(v);
-        v
-    }
-
     /// One call of Algorithm 4: attempt to swap worker `r` with a randomly
     /// chosen counterpart on the other side of the selection.
     ///
-    /// With an active session the candidate is evaluated in place — swap in,
-    /// read the value, and swap back on rejection — so a neighbour costs
-    /// `O(buckets)`; without one it falls back to evaluating a cloned jury.
+    /// The candidate is evaluated in place — swap in, read the value, and
+    /// swap back on rejection — so with an engine-backed session a
+    /// neighbour costs `O(buckets)`.
     fn try_swap(
         &self,
         state: &mut SearchState,
@@ -332,7 +299,7 @@ impl<O: JuryObjective> AnnealingSolver<O> {
         r: usize,
         temperature: f64,
         rng: &mut StdRng,
-        session: &mut Option<Box<dyn IncrementalSession + '_>>,
+        session: &mut dyn IncrementalSession,
     ) {
         let workers = instance.pool().workers();
         // Decide which worker leaves (`a`) and which enters (`b`).
@@ -355,57 +322,32 @@ impl<O: JuryObjective> AnnealingSolver<O> {
             return;
         }
 
-        let current = self.current_value(state, instance, session);
-        let candidate_value = match session {
-            Some(live) => {
-                if !live.pop(out_worker) {
-                    // The session lost track of the jury (cannot happen with
-                    // the engines shipped here, but a third-party objective
-                    // might misbehave): abandon it and fall back.
-                    *session = None;
-                    state.current_value = None;
-                    return self.try_swap(state, instance, r, temperature, rng, session);
-                }
-                live.push(in_worker);
-                live.value()
-            }
-            None => {
-                let mut candidate_members: Vec<Worker> = state
-                    .jury_members
-                    .iter()
-                    .filter(|w| w.id() != out_worker.id())
-                    .cloned()
-                    .collect();
-                candidate_members.push(in_worker.clone());
-                self.objective
-                    .evaluate(&Jury::new(candidate_members), instance.prior())
-            }
-        };
+        let current = *state.current_value.get_or_insert_with(|| session.value());
+        session.pop(out_worker);
+        session.push(in_worker);
+        let candidate_value = session.value();
         let delta = candidate_value - current;
 
         let accept = delta >= 0.0 || rng.gen::<f64>() <= (delta / temperature).exp();
         if accept {
             state.swap(out_index, out_worker, in_index, in_worker);
             state.current_value = Some(candidate_value);
-        } else if let Some(live) = session {
+        } else {
             // Revert the in-place trial swap.
-            live.pop(in_worker);
-            live.push(out_worker);
+            session.pop(in_worker);
+            session.restore(out_worker);
             state.current_value = Some(current);
         }
     }
-}
 
-impl<O: JuryObjective> AnnealingSolver<O> {
     /// One run of the paper's Algorithm 3, starting from `start` (the empty
     /// jury for a cold run; warm-started budget sweeps hand in the previous
     /// budget's jury).
     ///
-    /// When the objective offers an incremental session (and the
-    /// configuration allows it), the temperature loop steers itself entirely
-    /// through that session; the returned value is always a fresh batch
-    /// evaluation of the final jury, so callers compare restarts and report
-    /// results on the objective's own scale.
+    /// The temperature loop steers itself entirely through the objective's
+    /// session; the returned value is always a fresh batch evaluation of
+    /// the final jury, so callers compare restarts and report results on
+    /// the objective's own scale.
     ///
     /// Returns the jury, its batch-objective value, and whether the search
     /// budget cut the temperature loop short.
@@ -423,12 +365,7 @@ impl<O: JuryObjective> AnnealingSolver<O> {
         let workers = instance.pool().workers();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut state = SearchState::new(n);
-        let mut session = if self.config.use_incremental {
-            self.objective.incremental_session(instance)
-        } else {
-            None
-        };
-        let session_used = session.is_some();
+        let mut session = self.objective.incremental_session(instance);
 
         // Warm start: replay the seed jury into the search state (and the
         // session) before the temperature loop. Members that no longer fit —
@@ -444,9 +381,7 @@ impl<O: JuryObjective> AnnealingSolver<O> {
                 continue;
             }
             state.add(index, &workers[index]);
-            if let Some(live) = &mut session {
-                live.push(&workers[index]);
-            }
+            session.push(&workers[index]);
         }
 
         let mut truncated = false;
@@ -467,11 +402,16 @@ impl<O: JuryObjective> AnnealingSolver<O> {
                     {
                         // Adding an affordable worker never hurts (Lemma 1).
                         state.add(r, &workers[r]);
-                        if let Some(live) = &mut session {
-                            live.push(&workers[r]);
-                        }
+                        session.push(&workers[r]);
                     } else {
-                        self.try_swap(&mut state, instance, r, temperature, &mut rng, &mut session);
+                        self.try_swap(
+                            &mut state,
+                            instance,
+                            r,
+                            temperature,
+                            &mut rng,
+                            &mut *session,
+                        );
                     }
                 }
                 temperature *= self.config.cooling_factor;
@@ -479,27 +419,13 @@ impl<O: JuryObjective> AnnealingSolver<O> {
         }
 
         let jury = state.jury();
-        // Session values are quantized search guidance; the reported value
-        // must come from the batch objective. Without a session the cached
-        // value already is one.
-        let value = if session_used {
-            self.objective.evaluate(&jury, instance.prior())
-        } else {
-            state
-                .current_value
-                .unwrap_or_else(|| self.objective.evaluate(&jury, instance.prior()))
-        };
+        // Session values are search guidance: quantized for an engine, and
+        // summed in session order (which a rejected swap reshuffles) for a
+        // batch session. The reported value is a fresh batch evaluation.
+        let value = self.objective.evaluate(&jury, instance.prior());
         (jury, value, truncated)
     }
 
-    /// The greedy candidate juries: top-quality-first and
-    /// best-log-odds-per-cost-first fills of the budget.
-    fn greedy_candidates(&self, instance: &JspInstance) -> Vec<Jury> {
-        greedy_candidate_juries(instance)
-    }
-}
-
-impl<O: JuryObjective> AnnealingSolver<O> {
     /// Solves the instance with every annealing restart **seeded** by the
     /// given jury instead of starting empty: the seed is replayed into the
     /// search state (skipping members the pool or budget no longer admits)
@@ -543,7 +469,7 @@ impl<O: JuryObjective> AnnealingSolver<O> {
         }
 
         if self.config.use_greedy_candidates {
-            for jury in self.greedy_candidates(instance) {
+            for jury in greedy_candidate_juries(instance) {
                 let value = self.objective.evaluate(&jury, instance.prior());
                 if value > best_value {
                     best_value = value;
@@ -577,7 +503,7 @@ impl<O: JuryObjective> JurySolver for AnnealingSolver<O> {
 mod tests {
     use super::*;
     use crate::exhaustive::ExhaustiveSolver;
-    use crate::objective::{BvObjective, MvObjective};
+    use crate::objective::{BatchOnly, BvObjective, MvObjective};
     use jury_model::{paper_example_pool, GaussianWorkerGenerator, Prior};
 
     fn paper_instance(budget: f64) -> JspInstance {
@@ -698,9 +624,9 @@ mod tests {
     #[test]
     fn incremental_guidance_keeps_search_quality_above_the_cutoff() {
         // A pool above the exact cutoff engages the BV incremental session;
-        // the result must stay feasible, reproducible, and as good as the
-        // historical evaluate-per-step search (both re-scored by the same
-        // batch objective).
+        // the result must stay feasible, reproducible, and as good as a
+        // batch-session search of the same objective (both re-scored by the
+        // same batch objective).
         let generator = GaussianWorkerGenerator::paper_defaults();
         let mut rng = rand::rngs::StdRng::seed_from_u64(77);
         let pool = generator.generate(24, &mut rng);
@@ -708,11 +634,7 @@ mod tests {
 
         let incremental = AnnealingSolver::new(BvObjective::new()).solve(&instance);
         let incremental_again = AnnealingSolver::new(BvObjective::new()).solve(&instance);
-        let classic = AnnealingSolver::with_config(
-            BvObjective::new(),
-            AnnealingConfig::default().with_incremental(false),
-        )
-        .solve(&instance);
+        let classic = AnnealingSolver::new(BatchOnly(BvObjective::new())).solve(&instance);
 
         assert!(instance.is_feasible(&incremental.jury));
         assert_eq!(

@@ -63,14 +63,14 @@ impl BudgetQualityTable {
         BudgetQualityTable { rows }
     }
 
-    /// Builds the table with a **warm-started sweep**: one marginal-gain
-    /// search state — and one incremental evaluation session, when the
-    /// objective offers one — is carried from each budget to the next in
+    /// Builds the table with a **warm-started sweep**: one marginal-gain search
+    /// state — and one evaluation session, engine-backed where the objective
+    /// has an engine for the pool — is carried from each budget to the next in
     /// ascending order. Moving from budget `b` to `b + 1` only pushes the
     /// marginal workers the extra budget affords (each committed after
     /// pool-many `O(buckets)` push/value/pop probes); nothing is re-solved
-    /// cold. Every row's reported quality is still a from-scratch score by
-    /// the batch objective.
+    /// cold. Every row's reported quality is still a from-scratch score by the
+    /// batch objective.
     ///
     /// The sweep reproduces a cold [`crate::GreedyMarginalSolver`] run at
     /// every budget whenever greedy prefixes nest — uniform-cost pools in

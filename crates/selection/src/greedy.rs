@@ -11,16 +11,17 @@
 //!   log-odds weight `φ(max(q, 1 − q))`.
 //! * [`GreedyMarginalSolver`] — objective-driven forward selection: each
 //!   round scores **every** affordable single-worker extension of the
-//!   current jury and commits the best one. Through the objective's
-//!   incremental session a round costs pool-many `O(buckets)` push/evaluate/
-//!   pop probes instead of pool-many from-scratch JQ computations.
+//!   current jury and commits the best one. Every probe is a push/value/pop
+//!   through the objective's incremental session; with an engine-backed
+//!   session a round costs pool-many `O(buckets)` probes instead of
+//!   pool-many from-scratch JQ computations.
 //!
 //! The first two also serve as cheap initial solutions for the annealing
 //! search.
 
 use std::time::Instant;
 
-use jury_model::{Jury, Prior, Worker};
+use jury_model::{Jury, Worker};
 
 use crate::budget::SearchBudget;
 use crate::objective::{IncrementalSession, JuryObjective};
@@ -154,7 +155,7 @@ impl<O: JuryObjective> GreedyMarginalSolver<O> {
 
     /// Spreads each round's pool-many probes across lanes. A single lane
     /// (the default, [`ParallelPolicy::Sequential`]) probes through the
-    /// search's own incremental session on the calling thread; each
+    /// search's own session on the calling thread; each
     /// spawned lane replays the round's jury into its own session, so probe
     /// values do not depend on the lane count, and one pool-order scan over
     /// the collected values picks the round winner. An unbudgeted solve
@@ -177,15 +178,14 @@ const PROBE_TIE_TOLERANCE: f64 = 1e-9;
 /// Mutable state of a marginal-gain forward selection, shared by
 /// [`GreedyMarginalSolver`] and the warm-started budget sweep of
 /// [`crate::BudgetQualityTable::build_warm`] (which carries one state — and
-/// one incremental session — across consecutive budgets instead of
-/// re-solving cold).
+/// one session — across consecutive budgets instead of re-solving cold).
 pub(crate) struct MarginalSearch<'a, O: JuryObjective> {
     objective: &'a O,
     instance: &'a JspInstance,
     selected: Vec<bool>,
     jury: Jury,
     spent: f64,
-    session: Option<Box<dyn IncrementalSession + 'a>>,
+    session: Box<dyn IncrementalSession + 'a>,
     current_value: f64,
     budget: SearchBudget,
     truncated: bool,
@@ -200,7 +200,6 @@ struct Round<'r> {
     spent: f64,
     /// The spend limit of this round's extensions.
     limit: f64,
-    prior: Prior,
     budget: SearchBudget,
     lanes: usize,
 }
@@ -208,15 +207,14 @@ struct Round<'r> {
 impl Round<'_> {
     /// Lane `lane`'s share of the round: every pool position
     /// `index ≡ lane (mod lanes)` that is unselected and affordable, probed
-    /// as a single-worker extension of the round's jury (in place through
-    /// `session` — push, read, pop — when one is open). The budget
-    /// checkpoint is polled before every owned position, between probes so
-    /// the session stays balanced; an exhausted budget ends the lane and
+    /// in place through `session` (push, read, pop) as a single-worker
+    /// extension of the round's jury. The budget checkpoint is polled
+    /// before every owned position; an exhausted budget ends the lane and
     /// reports the cut.
     fn probe<O: JuryObjective>(
         &self,
         objective: &O,
-        session: &mut Option<Box<dyn IncrementalSession + '_>>,
+        session: &mut dyn IncrementalSession,
         lane: usize,
     ) -> (Vec<(usize, f64)>, bool) {
         let mut values = Vec::new();
@@ -228,24 +226,9 @@ impl Round<'_> {
             if self.selected[index] || self.spent + worker.cost() > self.limit + 1e-12 {
                 continue;
             }
-            let mut session_broken = false;
-            let mut value = match session {
-                Some(live) => {
-                    live.push(worker);
-                    let value = live.value();
-                    session_broken = !live.pop(worker);
-                    value
-                }
-                None => objective.evaluate(&self.jury.with_worker(worker.clone()), self.prior),
-            };
-            if session_broken {
-                // Cannot happen with the shipped engines; guard against
-                // misbehaving third-party sessions by falling back to batch
-                // evaluation for the rest of the session's life.
-                *session = None;
-                value = objective.evaluate(&self.jury.with_worker(worker.clone()), self.prior);
-            }
-            values.push((index, value));
+            session.push(worker);
+            values.push((index, session.value()));
+            session.pop(worker);
         }
         (values, false)
     }
@@ -253,19 +236,15 @@ impl Round<'_> {
 
 impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
     /// Opens a search over the instance's pool, with the objective's
-    /// incremental session (when it offers one) as the probe engine.
+    /// session as the probe engine.
     pub(crate) fn new(objective: &'a O, instance: &'a JspInstance) -> Self {
         let session = objective.incremental_session(instance);
-        let jury = Jury::empty();
-        let current_value = match &session {
-            Some(live) => live.value(),
-            None => objective.evaluate(&jury, instance.prior()),
-        };
+        let current_value = session.value();
         MarginalSearch {
             objective,
             instance,
             selected: vec![false; instance.num_candidates()],
-            jury,
+            jury: Jury::empty(),
             spent: 0.0,
             session,
             current_value,
@@ -316,8 +295,7 @@ impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
     /// — skipping indices already selected or unaffordable under `budget`.
     /// This is how [`crate::RestartSolver`] diversifies: each randomized
     /// restart plants a few workers before the marginal rounds take over.
-    /// Costs at most one objective evaluation (to refresh the current value
-    /// when the session is absent).
+    /// Costs at most one session read (to refresh the current value).
     pub(crate) fn preseed(&mut self, indices: &[usize], budget: f64) {
         let workers = self.instance.pool().workers();
         let mut committed = false;
@@ -329,16 +307,11 @@ impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
             self.selected[index] = true;
             self.spent += worker.cost();
             self.jury.push(worker.clone());
-            if let Some(live) = &mut self.session {
-                live.push(worker);
-            }
+            self.session.push(worker);
             committed = true;
         }
         if committed {
-            self.current_value = match &self.session {
-                Some(live) => live.value(),
-                None => self.objective.evaluate(&self.jury, self.instance.prior()),
-            };
+            self.current_value = self.session.value();
         }
     }
 
@@ -370,21 +343,18 @@ impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
                 jury: &self.jury,
                 spent: self.spent,
                 limit: budget,
-                prior: instance.prior(),
                 budget: self.budget,
                 lanes,
             };
             let lane_probes = if lanes == 1 {
-                vec![round.probe(objective, &mut self.session, 0)]
+                vec![round.probe(objective, &mut *self.session, 0)]
             } else {
                 run_lanes(lanes, |lane| {
                     let mut session = objective.incremental_session(instance);
-                    if let Some(live) = &mut session {
-                        for member in round.jury.workers() {
-                            live.push(member);
-                        }
+                    for member in round.jury.workers() {
+                        session.push(member);
                     }
-                    round.probe(objective, &mut session, lane)
+                    round.probe(objective, &mut *session, lane)
                 })
             };
             let mut probes = Vec::new();
@@ -413,9 +383,7 @@ impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
             self.selected[index] = true;
             self.spent += workers[index].cost();
             self.jury.push(workers[index].clone());
-            if let Some(live) = &mut self.session {
-                live.push(&workers[index]);
-            }
+            self.session.push(&workers[index]);
             self.current_value = best_value;
         }
     }
@@ -453,7 +421,7 @@ impl<O: JuryObjective> JurySolver for GreedyMarginalSolver<O> {
 mod tests {
     use super::*;
     use crate::exhaustive::ExhaustiveSolver;
-    use crate::objective::BvObjective;
+    use crate::objective::{BatchOnly, BvObjective};
     use jury_model::{paper_example_pool, WorkerPool};
 
     fn paper_instance(budget: f64) -> JspInstance {
@@ -558,21 +526,29 @@ mod tests {
     #[test]
     fn marginal_greedy_drives_the_incremental_session_on_large_pools() {
         // 30 candidates is above the exact cutoff, so scoring goes through
-        // the incremental push/value/pop probes; results must match a
-        // session-free run of the same strategy (evaluated per extension)
-        // and stay deterministic.
+        // the incremental push/value/pop probes; results must stay
+        // deterministic and land close to a batch-session run of the same
+        // strategy (every extension scored by `evaluate`).
         let qualities: Vec<f64> = (0..30).map(|i| 0.52 + 0.015 * i as f64).collect();
         let costs: Vec<f64> = (0..30).map(|i| 1.0 + (i % 5) as f64).collect();
         let pool = WorkerPool::from_qualities_and_costs(&qualities, &costs).unwrap();
         let instance = JspInstance::with_uniform_prior(pool, 12.0).unwrap();
         let a = GreedyMarginalSolver::new(BvObjective::new()).solve(&instance);
         let b = GreedyMarginalSolver::new(BvObjective::new()).solve(&instance);
+        let batch = GreedyMarginalSolver::new(BatchOnly(BvObjective::new())).solve(&instance);
         assert!(instance.is_feasible(&a.jury));
         assert!(!a.jury.is_empty());
         assert_eq!(a.jury.ids(), b.jury.ids());
         assert!(a.evaluations > 0);
-        // The session quantizes to the pool grid; the greedy choice must
-        // still land within the grid's error of the evaluate-driven pick.
-        assert!(a.objective_value >= 0.5);
+        // The session quantizes to the budget-sized grid; the greedy choice
+        // must still land within the grid's error of the evaluate-driven
+        // pick.
+        assert!(instance.is_feasible(&batch.jury));
+        assert!(
+            (a.objective_value - batch.objective_value).abs() < 0.02,
+            "incremental {} vs batch {}",
+            a.objective_value,
+            batch.objective_value
+        );
     }
 }

@@ -10,13 +10,14 @@
 //! `JQ(J, BV, ~α)` — exactly enumerated for tiny juries, otherwise via the
 //! Section 7 tuple-key bucket DP.
 //!
-//! The objective also implements
-//! [`JuryObjective::incremental_session`] on top of
+//! On pools past the session crossover the objective's
+//! [`JuryObjective::incremental_session`] runs on
 //! [`jury_jq::IncrementalMultiClassJq`], so [`crate::AnnealingSolver`] and
 //! [`crate::GreedyMarginalSolver`] drive confusion-matrix search through the
 //! same push/pop/swap hot path as the binary engines: an annealing neighbour
 //! or a greedy extension probe updates `ℓ` live dense DPs instead of
-//! rebuilding them from scratch.
+//! rebuilding them from scratch. Smaller pools get a
+//! [`BatchSession`] over the scratch DP.
 //!
 //! ```
 //! use jury_model::{CategoricalPrior, MatrixPool};
@@ -45,7 +46,7 @@ use jury_model::{
     CategoricalPrior, Jury, MatrixJury, MatrixPool, ModelError, ModelResult, Prior, Worker,
 };
 
-use crate::objective::{IncrementalSession, JuryObjective};
+use crate::objective::{BatchSession, IncrementalSession, JuryObjective};
 use crate::problem::JspInstance;
 
 /// Voting-space sizes up to this bound are scored by exact enumeration
@@ -53,9 +54,9 @@ use crate::problem::JspInstance;
 /// DP.
 pub const DEFAULT_MULTICLASS_EXACT_VOTINGS: u64 = 1 << 12;
 
-/// Pools of at most this many candidates do not get incremental sessions
-/// by default. The dense per-target boxes of the incremental engine cost
-/// `O((pool · buckets)^{ℓ−1})` per mutation while the scratch tuple DP's
+/// Pools of at most this many candidates get a [`BatchSession`] rather than
+/// the incremental engine by default. The engine's dense per-target boxes
+/// cost `O((pool · buckets)^{ℓ−1})` per mutation while the scratch tuple DP's
 /// sparse map stays tiny for small juries, so the engine only wins beyond
 /// a crossover (the `multiclass` criterion bench on this repo's reference
 /// box measures the scratch DP ~86× *faster* at 10 candidates and ~22×
@@ -199,9 +200,9 @@ impl MultiClassBvObjective {
         self
     }
 
-    /// Sets the smallest pool size that gets incremental sessions (see
-    /// [`DEFAULT_MULTICLASS_SESSION_POOL_CUTOFF`] for the crossover
-    /// rationale).
+    /// Sets the largest pool size that gets a [`BatchSession`] instead of
+    /// the incremental engine (see [`DEFAULT_MULTICLASS_SESSION_POOL_CUTOFF`]
+    /// for the crossover rationale).
     pub fn with_session_pool_cutoff(mut self, cutoff: usize) -> Self {
         self.session_pool_cutoff = cutoff;
         self
@@ -232,7 +233,8 @@ impl MultiClassBvObjective {
         self.exact_votings
     }
 
-    /// The smallest pool size that gets incremental sessions.
+    /// The largest pool size that gets a [`BatchSession`] instead of the
+    /// incremental engine.
     pub fn session_pool_cutoff(&self) -> usize {
         self.session_pool_cutoff
     }
@@ -242,12 +244,13 @@ impl MultiClassBvObjective {
         (self.pool.num_choices() as u64).saturating_pow(jurors.min(u32::MAX as usize) as u32)
     }
 
-    /// Whether a search over `candidates` pool members runs on incremental
-    /// sessions under this objective's configuration — true exactly when
-    /// the pool is past both the session crossover cutoff and the exact
-    /// voting-space cutoff. This is the single source of the gating that
-    /// [`JuryObjective::incremental_session`] applies; serving layers use
-    /// it to decide whether a pool *requires* the incremental engine.
+    /// Whether a search over `candidates` pool members runs on the
+    /// incremental engine under this objective's configuration — true
+    /// exactly when the pool is past both the session crossover cutoff and
+    /// the exact voting-space cutoff. This is the single source of the
+    /// gating that [`JuryObjective::incremental_session`] applies; serving
+    /// layers use it to decide whether a pool *requires* the incremental
+    /// engine.
     pub fn session_required(&self, candidates: usize) -> bool {
         candidates > self.session_pool_cutoff && self.votings(candidates) > self.exact_votings
     }
@@ -297,61 +300,85 @@ impl JuryObjective for MultiClassBvObjective {
     fn incremental_session<'a>(
         &'a self,
         instance: &JspInstance,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
+    ) -> Box<dyn IncrementalSession + 'a> {
         // Pools whose whole voting space fits the exact cutoff score every
         // candidate by exact enumeration anyway, and below the crossover
         // pool size the sparse scratch DP beats the dense boxes outright —
         // the quantized session only pays off beyond both bounds.
+        let batch = BatchSession::new(self, instance.prior());
         if !self.session_required(instance.num_candidates()) {
-            return None;
+            return Box::new(batch);
         }
-        let engine =
-            IncrementalMultiClassJq::for_pool(self.pool.workers(), &self.prior, self.incremental)
-                .ok()?;
-        Some(Box::new(MultiClassSession {
-            engine,
-            pool: &self.pool,
-            evaluations: &self.evaluations,
-            broken: false,
-        }))
+        match IncrementalMultiClassJq::for_pool(self.pool.workers(), &self.prior, self.incremental)
+        {
+            Ok(engine) => Box::new(MultiClassSession {
+                engine: Some(engine),
+                twin: batch,
+                objective: self,
+            }),
+            Err(_) => Box::new(batch),
+        }
     }
 }
 
 /// [`IncrementalSession`] over `JQ(J, BV, ~α)` via
 /// [`IncrementalMultiClassJq`]. Shadow workers are resolved back to their
-/// confusion matrices by id; a push that cannot be honoured (foreign id or
-/// cell-budget overflow — neither can happen for juries drawn from the
-/// pool the session was sized for) marks the session broken, and the next
-/// `pop` reports failure so the solver falls back to batch evaluation.
+/// confusion matrices by id. A push or pop the engine cannot honour
+/// (foreign id or cell-budget overflow — neither can happen for juries
+/// drawn from the pool the session was sized for) drops the engine; the
+/// session then answers from a [`BatchSession`] twin it keeps in step, so
+/// it never loses track of the jury.
 struct MultiClassSession<'a> {
-    engine: IncrementalMultiClassJq,
-    pool: &'a MatrixPool,
-    evaluations: &'a AtomicU64,
-    broken: bool,
+    engine: Option<IncrementalMultiClassJq>,
+    twin: BatchSession<'a, MultiClassBvObjective>,
+    objective: &'a MultiClassBvObjective,
+}
+
+impl MultiClassSession<'_> {
+    fn push_engine(&mut self, worker: &Worker) {
+        if let Some(engine) = &mut self.engine {
+            let pushed = match self.objective.pool.get(worker.id()) {
+                Ok(member) => engine.push_worker(member).is_ok(),
+                Err(_) => false,
+            };
+            if !pushed {
+                self.engine = None;
+            }
+        }
+    }
 }
 
 impl IncrementalSession for MultiClassSession<'_> {
     fn push(&mut self, worker: &Worker) {
-        if self.broken {
-            return;
-        }
-        match self.pool.get(worker.id()) {
-            Ok(member) => {
-                if self.engine.push_worker(member).is_err() {
-                    self.broken = true;
-                }
-            }
-            Err(_) => self.broken = true,
-        }
+        self.twin.push(worker);
+        self.push_engine(worker);
+    }
+
+    fn restore(&mut self, worker: &Worker) {
+        self.twin.restore(worker);
+        self.push_engine(worker);
     }
 
     fn pop(&mut self, worker: &Worker) -> bool {
-        !self.broken && self.engine.pop_id(worker.id()).is_ok()
+        if !self.twin.pop(worker) {
+            return false;
+        }
+        if let Some(engine) = &mut self.engine {
+            if engine.pop_id(worker.id()).is_err() {
+                self.engine = None;
+            }
+        }
+        true
     }
 
     fn value(&self) -> f64 {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.engine.jq()
+        match &self.engine {
+            Some(engine) => {
+                self.objective.evaluations.fetch_add(1, Ordering::Relaxed);
+                engine.jq()
+            }
+            None => self.twin.value(),
+        }
     }
 }
 
@@ -362,6 +389,7 @@ mod tests {
     use crate::exhaustive::ExhaustiveSolver;
     use crate::greedy::GreedyMarginalSolver;
     use crate::solver::JurySolver;
+    use crate::tabu::TabuSolver;
 
     /// A deliberately coarse-but-fast configuration for unit tests.
     fn fast_incremental() -> MultiClassIncrementalConfig {
@@ -440,15 +468,46 @@ mod tests {
     fn annealing_drives_the_incremental_session_on_large_pools() {
         let problem =
             MultiClassJsp::new(big_pool(), 4.0, CategoricalPrior::uniform(3).unwrap()).unwrap();
-        // Above the (lowered) crossover cutoff a session must exist; at the
-        // production default this 14-candidate pool stays session-free.
-        assert!(session_objective(&problem)
-            .incremental_session(problem.instance())
-            .is_some());
-        assert!(problem
-            .objective()
-            .incremental_session(problem.instance())
-            .is_none());
+        let n = problem.instance().num_candidates();
+        let prior = problem.instance().prior();
+        let members = &problem.instance().pool().workers()[..5];
+        let jury = Jury::new(members.to_vec());
+
+        // Above the (lowered) crossover cutoff the session runs the engine:
+        // its reads match a bare engine fed the same members bit for bit,
+        // and the coarse test grid keeps those apart from `evaluate`.
+        let objective = session_objective(&problem);
+        assert!(objective.session_required(n));
+        let mut session = objective.incremental_session(problem.instance());
+        let mut engine = IncrementalMultiClassJq::for_pool(
+            objective.pool.workers(),
+            &objective.prior,
+            fast_incremental(),
+        )
+        .unwrap();
+        for worker in members {
+            session.push(worker);
+            engine
+                .push_worker(objective.pool.get(worker.id()).unwrap())
+                .unwrap();
+        }
+        assert_eq!(session.value().to_bits(), engine.jq().to_bits());
+        assert_ne!(
+            engine.jq().to_bits(),
+            objective.evaluate(&jury, prior).to_bits()
+        );
+
+        // At the production default this pool gets a batch session.
+        let classic_objective = problem.objective();
+        assert!(!classic_objective.session_required(n));
+        let mut batch = classic_objective.incremental_session(problem.instance());
+        for worker in members {
+            batch.push(worker);
+        }
+        assert_eq!(
+            batch.value().to_bits(),
+            classic_objective.evaluate(&jury, prior).to_bits()
+        );
 
         let incremental =
             AnnealingSolver::with_config(session_objective(&problem), fast_annealing())
@@ -456,11 +515,8 @@ mod tests {
         let incremental_again =
             AnnealingSolver::with_config(session_objective(&problem), fast_annealing())
                 .solve(problem.instance());
-        let classic = AnnealingSolver::with_config(
-            problem.objective(),
-            fast_annealing().with_incremental(false),
-        )
-        .solve(problem.instance());
+        let classic = AnnealingSolver::with_config(problem.objective(), fast_annealing())
+            .solve(problem.instance());
 
         assert!(problem.instance().is_feasible(&incremental.jury));
         assert!(!incremental.jury.is_empty());
@@ -478,6 +534,55 @@ mod tests {
             classic.objective_value
         );
         assert!(incremental.evaluations > 0);
+    }
+
+    #[test]
+    fn a_session_whose_engine_fails_answers_by_batch_evaluation() {
+        let problem =
+            MultiClassJsp::new(big_pool(), 4.0, CategoricalPrior::uniform(3).unwrap()).unwrap();
+        let objective = session_objective(&problem);
+        assert!(objective.session_required(problem.instance().num_candidates()));
+        let workers = problem.instance().pool().workers();
+        // A shadow worker the matrix pool lacks: the engine cannot push it.
+        let foreign = Worker::new(jury_model::WorkerId(999), 0.95, 1.0).unwrap();
+
+        let mut session = objective.incremental_session(problem.instance());
+        let mut members = vec![workers[0].clone(), workers[1].clone(), foreign.clone()];
+        for worker in &members {
+            session.push(worker);
+        }
+        let check = |session: &dyn IncrementalSession, members: &[Worker]| {
+            let direct = objective.evaluate(&Jury::new(members.to_vec()), Prior::uniform());
+            assert_eq!(session.value().to_bits(), direct.to_bits());
+        };
+        check(&*session, &members);
+        session.push(&workers[2]);
+        members.push(workers[2].clone());
+        check(&*session, &members);
+        assert!(session.pop(&workers[1]));
+        members.remove(1);
+        check(&*session, &members);
+        assert!(session.pop(&foreign));
+        members.retain(|w| w.id() != foreign.id());
+        check(&*session, &members);
+        assert!(!session.pop(&foreign), "double pop must fail");
+        drop(session);
+
+        // Searches over a pool holding that worker recover the same way.
+        let mut shadow = workers.to_vec();
+        shadow.push(foreign);
+        let pool = jury_model::WorkerPool::from_workers(shadow).unwrap();
+        let instance = JspInstance::with_uniform_prior(pool, 4.0).unwrap();
+        let results = [
+            AnnealingSolver::with_config(session_objective(&problem), fast_annealing())
+                .solve(&instance),
+            TabuSolver::new(session_objective(&problem)).solve(&instance),
+        ];
+        for result in results {
+            assert!(instance.is_feasible(&result.jury), "{}", result.solver);
+            let direct = objective.evaluate(&result.jury, Prior::uniform());
+            assert_eq!(result.objective_value.to_bits(), direct.to_bits());
+        }
     }
 
     #[test]

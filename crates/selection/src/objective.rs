@@ -7,19 +7,21 @@
 //! to the strategy being optimized — which is precisely the ablation the
 //! paper's Figure 6 performs.
 //!
-//! Besides the batch [`JuryObjective::evaluate`] entry point, an objective
-//! can open an [`IncrementalSession`]: a stateful evaluator that mutates one
-//! worker at a time (`jury_jq::IncrementalJq` / `jury_jq::IncrementalMvJq`
-//! underneath), which is what makes the neighbourhood searches pay
-//! `O(buckets)` per candidate jury instead of rebuilding the whole JQ
-//! dynamic program.
+//! Besides the batch [`JuryObjective::evaluate`] entry point, every
+//! objective opens an [`IncrementalSession`]: a stateful evaluator that
+//! mutates one worker at a time. Where an engine pays off
+//! (`jury_jq::IncrementalJq` / `jury_jq::IncrementalMvJq` underneath), a
+//! neighbourhood search pays `O(buckets)` per candidate jury instead of
+//! rebuilding the whole JQ dynamic program; everywhere else the session is
+//! a [`BatchSession`] that answers through `evaluate`. Solvers therefore
+//! have one probe path — push, value, pop — whatever the objective.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use jury_jq::{
     BucketJqConfig, IncrementalJq, IncrementalJqConfig, IncrementalMvJq, JqEngine, SharedJqScratch,
 };
-use jury_model::{Jury, Prior, Worker};
+use jury_model::{Jury, Prior, Worker, WorkerId};
 
 use crate::problem::JspInstance;
 
@@ -27,8 +29,8 @@ use crate::problem::JspInstance;
 /// [`JuryObjective`].
 ///
 /// The session tracks one jury; `push`/`pop` mutate it by a single worker
-/// and `value` reports the objective of the *current* state. Sessions exist
-/// purely to accelerate neighbourhood searches: their values may be
+/// and `value` reports the objective of the *current* state. Engine-backed
+/// sessions exist to accelerate neighbourhood searches: their values may be
 /// quantized (the BV engine works on a fixed bucket grid), so solvers score
 /// final candidates through [`JuryObjective::evaluate`] and use the session
 /// only to steer the search.
@@ -36,13 +38,91 @@ pub trait IncrementalSession {
     /// Adds one worker to the tracked jury.
     fn push(&mut self, worker: &Worker);
 
-    /// Removes a previously pushed worker. Returns `false` (leaving the
-    /// state untouched) if the worker is unknown — callers should then
-    /// abandon the session and fall back to batch evaluation.
+    /// Removes a previously pushed worker. Returns `false`, leaving the
+    /// state untouched, for a worker the session does not hold. Solvers pop
+    /// only what they pushed, so for them a pop always succeeds.
     fn pop(&mut self, worker: &Worker) -> bool;
+
+    /// Pushes back `worker`, which the caller popped to probe a neighbour,
+    /// undoing that pop. The default is [`push`](Self::push);
+    /// [`BatchSession`] also puts the worker back in the place it left, so
+    /// a probe leaves its member order — and with it the summation order of
+    /// `value` — as it was.
+    fn restore(&mut self, worker: &Worker) {
+        self.push(worker);
+    }
 
     /// The objective value of the current jury state.
     fn value(&self) -> f64;
+}
+
+/// The session of an objective without an incremental engine for the pool:
+/// it keeps the members in push order (a restored worker goes back to its
+/// old place) and answers [`value`] through the objective's own
+/// [`JuryObjective::evaluate`], so every read is counted (and, for a
+/// caching objective, memoized) like any batch evaluation.
+///
+/// [`value`]: IncrementalSession::value
+pub struct BatchSession<'a, O: JuryObjective + ?Sized> {
+    objective: &'a O,
+    prior: Prior,
+    members: Vec<Worker>,
+    /// Where each popped worker was, for [`IncrementalSession::restore`]
+    /// (the latest pop per id).
+    vacated: Vec<(WorkerId, usize)>,
+}
+
+impl<'a, O: JuryObjective + ?Sized> BatchSession<'a, O> {
+    /// An empty session scoring juries under `prior`.
+    pub fn new(objective: &'a O, prior: Prior) -> Self {
+        BatchSession {
+            objective,
+            prior,
+            members: Vec::new(),
+            vacated: Vec::new(),
+        }
+    }
+
+    /// The tracked members, in push order.
+    pub fn members(&self) -> &[Worker] {
+        &self.members
+    }
+}
+
+impl<O: JuryObjective + ?Sized> IncrementalSession for BatchSession<'_, O> {
+    fn push(&mut self, worker: &Worker) {
+        self.members.push(worker.clone());
+    }
+
+    fn pop(&mut self, worker: &Worker) -> bool {
+        // `remove`, not `swap_remove`: the survivors keep their push order,
+        // which fixes the summation order of `value`.
+        match self.members.iter().rposition(|m| m.id() == worker.id()) {
+            Some(position) => {
+                self.members.remove(position);
+                self.vacated.retain(|&(id, _)| id != worker.id());
+                self.vacated.push((worker.id(), position));
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn restore(&mut self, worker: &Worker) {
+        match self.vacated.iter().position(|&(id, _)| id == worker.id()) {
+            Some(slot) => {
+                let (_, position) = self.vacated.swap_remove(slot);
+                let position = position.min(self.members.len());
+                self.members.insert(position, worker.clone());
+            }
+            None => self.push(worker),
+        }
+    }
+
+    fn value(&self) -> f64 {
+        self.objective
+            .evaluate(&Jury::new(self.members.clone()), self.prior)
+    }
 }
 
 /// An objective function over juries.
@@ -59,14 +139,14 @@ pub trait JuryObjective: Send + Sync {
     fn evaluations(&self) -> u64;
 
     /// Opens an incremental evaluation session for juries drawn from the
-    /// instance's pool, or `None` when the objective has no incremental
-    /// back-end (or judges it not worthwhile, e.g. a pool small enough for
-    /// exact enumeration). The default implementation returns `None`.
+    /// instance's pool. Objectives with an engine that pays off for the
+    /// pool return an engine-backed session; the rest — and this default —
+    /// return a [`BatchSession`] over `self`.
     fn incremental_session<'a>(
         &'a self,
-        _instance: &JspInstance,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
-        None
+        instance: &JspInstance,
+    ) -> Box<dyn IncrementalSession + 'a> {
+        Box::new(BatchSession::new(self, instance.prior()))
     }
 
     /// Like [`incremental_session`](Self::incremental_session), but draws
@@ -80,7 +160,7 @@ pub trait JuryObjective: Send + Sync {
         &'a self,
         instance: &JspInstance,
         _arena: &'a SharedJqScratch,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
+    ) -> Box<dyn IncrementalSession + 'a> {
         self.incremental_session(instance)
     }
 }
@@ -105,7 +185,7 @@ impl<O: JuryObjective + ?Sized> JuryObjective for &O {
     fn incremental_session<'a>(
         &'a self,
         instance: &JspInstance,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
+    ) -> Box<dyn IncrementalSession + 'a> {
         (**self).incremental_session(instance)
     }
 
@@ -113,8 +193,29 @@ impl<O: JuryObjective + ?Sized> JuryObjective for &O {
         &'a self,
         instance: &JspInstance,
         arena: &'a SharedJqScratch,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
+    ) -> Box<dyn IncrementalSession + 'a> {
         (**self).incremental_session_in(instance, arena)
+    }
+}
+
+/// Test wrapper that forwards only `name`, `evaluate` and `evaluations`,
+/// so it gets the trait's default [`BatchSession`]: the same objective
+/// with every probe scored by batch evaluation.
+#[cfg(test)]
+pub(crate) struct BatchOnly<O>(pub(crate) O);
+
+#[cfg(test)]
+impl<O: JuryObjective> JuryObjective for BatchOnly<O> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn evaluate(&self, jury: &Jury, prior: Prior) -> f64 {
+        self.0.evaluate(jury, prior)
+    }
+
+    fn evaluations(&self) -> u64 {
+        self.0.evaluations()
     }
 }
 
@@ -303,35 +404,27 @@ impl JuryObjective for BvObjective {
     fn incremental_session<'a>(
         &'a self,
         instance: &JspInstance,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
-        // Pools within the exact cutoff evaluate every jury by exact
-        // enumeration anyway — a quantized incremental grid would only trade
-        // precision for nothing there.
-        if instance.num_candidates() <= self.engine.exact_cutoff() {
-            return None;
-        }
-        Some(bv_incremental_session_in(
-            instance,
-            *self.engine.bucket_estimator().config(),
-            &self.evaluations,
-            &self.scratch,
-        ))
+    ) -> Box<dyn IncrementalSession + 'a> {
+        self.incremental_session_in(instance, &self.scratch)
     }
 
     fn incremental_session_in<'a>(
         &'a self,
         instance: &JspInstance,
         arena: &'a SharedJqScratch,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
+    ) -> Box<dyn IncrementalSession + 'a> {
+        // Pools within the exact cutoff evaluate every jury by exact
+        // enumeration anyway — a quantized incremental grid would only trade
+        // precision for nothing there.
         if instance.num_candidates() <= self.engine.exact_cutoff() {
-            return None;
+            return Box::new(BatchSession::new(self, instance.prior()));
         }
-        Some(bv_incremental_session_in(
+        bv_incremental_session_in(
             instance,
             *self.engine.bucket_estimator().config(),
             &self.evaluations,
             arena,
-        ))
+        )
     }
 }
 
@@ -368,26 +461,18 @@ impl JuryObjective for MvObjective {
     fn incremental_session<'a>(
         &'a self,
         instance: &JspInstance,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
-        // The MV session is exact (no quantization) and strictly cheaper
-        // than the scratch Poisson-binomial DP, so it is always worthwhile.
-        Some(mv_incremental_session_in(
-            instance.prior(),
-            &self.evaluations,
-            &self.scratch,
-        ))
+    ) -> Box<dyn IncrementalSession + 'a> {
+        self.incremental_session_in(instance, &self.scratch)
     }
 
     fn incremental_session_in<'a>(
         &'a self,
         instance: &JspInstance,
         arena: &'a SharedJqScratch,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
-        Some(mv_incremental_session_in(
-            instance.prior(),
-            &self.evaluations,
-            arena,
-        ))
+    ) -> Box<dyn IncrementalSession + 'a> {
+        // The MV session is exact (no quantization) and strictly cheaper
+        // than the scratch Poisson-binomial DP, so it is always worthwhile.
+        mv_incremental_session_in(instance.prior(), &self.evaluations, arena)
     }
 }
 
@@ -438,14 +523,56 @@ mod tests {
 
     #[test]
     fn bv_sessions_are_gated_by_the_exact_cutoff() {
+        // Within the cutoff the session is a batch one: its values are the
+        // objective's own, bit for bit, and no engine buffers are drawn.
         let obj = BvObjective::new();
         let small =
             JspInstance::with_uniform_prior(jury_model::paper_example_pool(), 15.0).unwrap();
-        assert!(obj.incremental_session(&small).is_none());
+        let members = &small.pool().workers()[..3];
+        {
+            let mut session = obj.incremental_session(&small);
+            for worker in members {
+                session.push(worker);
+            }
+            let direct = obj.evaluate(&Jury::new(members.to_vec()), Prior::uniform());
+            assert_eq!(session.value().to_bits(), direct.to_bits());
+        }
+        assert_eq!(obj.scratch.lock().buffers_held(), 0);
+
+        // Past it the session runs the engine, whose buffers go back to the
+        // objective's arena on drop.
         let big_pool =
             jury_model::WorkerPool::from_qualities_and_costs(&[0.7; 20], &[1.0; 20]).unwrap();
         let big = JspInstance::with_uniform_prior(big_pool, 5.0).unwrap();
-        assert!(obj.incremental_session(&big).is_some());
+        drop(obj.incremental_session(&big));
+        assert!(obj.scratch.lock().buffers_held() > 0);
+    }
+
+    #[test]
+    fn batch_session_keeps_member_order_and_rejects_unknown_pops() {
+        let obj = MvObjective::new();
+        let workers = jury_model::paper_example_pool().workers().to_vec();
+        let mut session = BatchSession::new(&obj, Prior::uniform());
+        for worker in &workers[..4] {
+            session.push(worker);
+        }
+        assert!(session.pop(&workers[1]));
+        assert!(!session.pop(&workers[1]), "double pop must fail");
+        assert!(!session.pop(&workers[5]));
+        let expected = [&workers[0], &workers[2], &workers[3]].map(|w| w.id());
+        let held: Vec<_> = session.members().iter().map(|w| w.id()).collect();
+        assert_eq!(held, expected);
+        // A probe that pops a member, tries a newcomer and takes both back
+        // leaves the order as it was.
+        assert!(session.pop(&workers[2]));
+        session.push(&workers[4]);
+        assert!(session.pop(&workers[4]));
+        session.restore(&workers[2]);
+        let held: Vec<_> = session.members().iter().map(|w| w.id()).collect();
+        assert_eq!(held, expected);
+        let direct = obj.evaluate(&Jury::new(session.members().to_vec()), Prior::uniform());
+        assert_eq!(session.value().to_bits(), direct.to_bits());
+        assert_eq!(obj.evaluations(), 2, "session reads count as evaluations");
     }
 
     #[test]
@@ -459,7 +586,7 @@ mod tests {
         )
         .unwrap();
         let instance = JspInstance::with_uniform_prior(pool.clone(), 3.0).unwrap();
-        let mut session = obj.incremental_session(&instance).unwrap();
+        let mut session = obj.incremental_session(&instance);
         let members = &pool.workers()[..3];
         for worker in members {
             session.push(worker);
@@ -484,7 +611,7 @@ mod tests {
         let obj = MvObjective::new();
         let instance =
             JspInstance::with_uniform_prior(jury_model::paper_example_pool(), 15.0).unwrap();
-        let mut session = obj.incremental_session(&instance).unwrap();
+        let mut session = obj.incremental_session(&instance);
         let workers = instance.pool().workers().to_vec();
         for worker in &workers[..3] {
             session.push(worker);
@@ -529,9 +656,7 @@ mod proptests {
         let bound = error_bound_per_worker(phi_max, PAPER_RECOMMENDED_MULTIPLIER);
 
         let objective = BvObjective::new();
-        let mut session = objective
-            .incremental_session(instance)
-            .ok_or("pools past the exact cutoff open a session")?;
+        let mut session = objective.incremental_session(instance);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut members: Vec<Worker> = Vec::new();
         let mut spent = 0.0;

@@ -168,7 +168,7 @@ impl<O: JuryObjective> JuryObjective for ArenaObjective<'_, O> {
     fn incremental_session<'a>(
         &'a self,
         instance: &JspInstance,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
+    ) -> Box<dyn IncrementalSession + 'a> {
         self.inner.incremental_session_in(instance, self.arena)
     }
 }
@@ -235,7 +235,7 @@ mod tests {
         // Sessions exist past the exact cutoff and recycle into the lane's
         // arena, not the inner objective's.
         {
-            let mut session = lane.incremental_session(&instance).unwrap();
+            let mut session = lane.incremental_session(&instance);
             session.push(&pool.workers()[0]);
             assert!(session.value() > 0.0);
             assert!(session.pop(&pool.workers()[0]));

@@ -8,9 +8,11 @@
 //! instead hill-climbs from the deployed jury under its original budget:
 //! each round probes every single-worker **swap** (evict a member, admit an
 //! outsider) and every affordable **push** (admit an outsider outright), and
-//! commits the best strictly improving move. Probes ride the objective's
-//! [`IncrementalSession`] where one costs `O(buckets)` instead of a
-//! from-scratch JQ evaluation, mirroring [`crate::GreedyMarginalSolver`].
+//! commits the best strictly improving move. Every probe is a push, value,
+//! pop on the objective's [`IncrementalSession`](crate::IncrementalSession),
+//! which costs `O(buckets)` instead of a from-scratch JQ evaluation where
+//! the objective has an engine for the pool, mirroring
+//! [`crate::GreedyMarginalSolver`].
 //!
 //! The search is a local one: it terminates at a swap-stable jury, which on
 //! uniform-cost pools (Lemma 2 territory) is the global optimum, but on
@@ -21,10 +23,10 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use jury_model::{Jury, ModelError, ModelResult, Prior, Worker, WorkerId};
+use jury_model::{Jury, ModelError, ModelResult, Worker, WorkerId};
 
 use crate::budget::SearchBudget;
-use crate::objective::{IncrementalSession, JuryObjective};
+use crate::objective::JuryObjective;
 use crate::problem::JspInstance;
 
 /// Tuning knobs for [`repair_jury`].
@@ -111,10 +113,6 @@ enum Move {
     Push { candidate: usize },
 }
 
-fn batch_value<O: JuryObjective>(objective: &O, members: &[Worker], prior: Prior) -> f64 {
-    objective.evaluate(&Jury::new(members.to_vec()), prior)
-}
-
 /// Repairs a deployed jury against the instance's (fresh) pool under the
 /// instance's budget: greedy hill climbing over single-worker swaps and
 /// pushes, committing only strictly improving moves, until swap-stable.
@@ -158,15 +156,13 @@ pub fn repair_jury<O: JuryObjective>(
     };
     let mut spent: f64 = jury_idx.iter().map(|&i| pool_workers[i].cost()).sum();
 
-    let initial_value = batch_value(objective, &current_workers(&jury_idx), prior);
+    let initial_value = objective.evaluate(&Jury::new(current_workers(&jury_idx)), prior);
 
     // The session tracks the current jury; probes mutate it by one worker
-    // and restore. A pop that fails (impossible with the shipped engines)
-    // abandons the session for batch evaluation, as in the greedy searches.
-    // Its grid is sized for the largest jury it will hold: pushes stay
-    // within the budget and swaps keep the size, so that is the larger of
-    // the largest affordable jury and the deployed one, which may exceed
-    // the budget. A deployed jury of `m` members then gets the session of
+    // and restore. Its grid is sized for the largest jury it will hold:
+    // pushes stay within the budget and swaps keep the size, so that is the
+    // larger of the largest affordable jury and the deployed one, which may
+    // exceed the budget. A deployed jury of `m` members then gets the session of
     // an instance whose budget buys `m` of the cheapest worker. (Such a
     // jury admits no move: no push fits the budget, and a swap would need
     // a feasible jury of `m` members. Only the session's opening value
@@ -180,17 +176,11 @@ pub fn repair_jury<O: JuryObjective>(
         }
         _ => instance,
     };
-    let mut session: Option<Box<dyn IncrementalSession + '_>> =
-        objective.incremental_session(session_instance);
-    let mut current_value = match &mut session {
-        Some(live) => {
-            for &i in &jury_idx {
-                live.push(&pool_workers[i]);
-            }
-            live.value()
-        }
-        None => initial_value,
-    };
+    let mut session = objective.incremental_session(session_instance);
+    for &i in &jury_idx {
+        session.push(&pool_workers[i]);
+    }
+    let mut current_value = session.value();
 
     let mut swaps = 0usize;
     let mut pushes = 0usize;
@@ -217,26 +207,9 @@ pub fn repair_jury<O: JuryObjective>(
             if in_jury[candidate] || spent + worker.cost() > budget + 1e-12 {
                 continue;
             }
-            let mut session_broken = false;
-            let mut value = match &mut session {
-                Some(live) => {
-                    live.push(worker);
-                    let value = live.value();
-                    session_broken = !live.pop(worker);
-                    value
-                }
-                None => {
-                    let mut probe = current_workers(&jury_idx);
-                    probe.push(worker.clone());
-                    batch_value(objective, &probe, prior)
-                }
-            };
-            if session_broken {
-                session = None;
-                let mut probe = current_workers(&jury_idx);
-                probe.push(worker.clone());
-                value = batch_value(objective, &probe, prior);
-            }
+            session.push(worker);
+            let value = session.value();
+            session.pop(worker);
             consider(&mut best, Move::Push { candidate }, value);
             consider(&mut best_push, Move::Push { candidate }, value);
         }
@@ -245,54 +218,19 @@ pub fn repair_jury<O: JuryObjective>(
         // original budget.
         for member in 0..jury_idx.len() {
             let member_worker = &pool_workers[jury_idx[member]];
-            let mut member_popped = false;
-            if let Some(live) = &mut session {
-                if live.pop(member_worker) {
-                    member_popped = true;
-                } else {
-                    session = None;
-                }
-            }
-            let base: Vec<Worker> = jury_idx
-                .iter()
-                .enumerate()
-                .filter(|&(m, _)| m != member)
-                .map(|(_, &i)| pool_workers[i].clone())
-                .collect();
+            session.pop(member_worker);
             for (candidate, worker) in pool_workers.iter().enumerate() {
                 if in_jury[candidate]
                     || spent - member_worker.cost() + worker.cost() > budget + 1e-12
                 {
                     continue;
                 }
-                let mut session_broken = false;
-                let mut value = match &mut session {
-                    Some(live) if member_popped => {
-                        live.push(worker);
-                        let value = live.value();
-                        session_broken = !live.pop(worker);
-                        value
-                    }
-                    _ => {
-                        let mut probe = base.clone();
-                        probe.push(worker.clone());
-                        batch_value(objective, &probe, prior)
-                    }
-                };
-                if session_broken {
-                    session = None;
-                    member_popped = false;
-                    let mut probe = base.clone();
-                    probe.push(worker.clone());
-                    value = batch_value(objective, &probe, prior);
-                }
+                session.push(worker);
+                let value = session.value();
+                session.pop(worker);
                 consider(&mut best, Move::Swap { member, candidate }, value);
             }
-            if member_popped {
-                if let Some(live) = &mut session {
-                    live.push(member_worker);
-                }
-            }
+            session.restore(member_worker);
         }
 
         // A swap commits only when it strictly improves — a swap search
@@ -310,9 +248,7 @@ pub fn repair_jury<O: JuryObjective>(
                 in_jury[candidate] = true;
                 spent += pool_workers[candidate].cost();
                 jury_idx.push(candidate);
-                if let Some(live) = &mut session {
-                    live.push(&pool_workers[candidate]);
-                }
+                session.push(&pool_workers[candidate]);
                 pushes += 1;
             }
             Move::Swap { member, candidate } => {
@@ -321,22 +257,14 @@ pub fn repair_jury<O: JuryObjective>(
                 in_jury[candidate] = true;
                 spent += pool_workers[candidate].cost() - pool_workers[evicted].cost();
                 jury_idx[member] = candidate;
-                if let Some(live) = &mut session {
-                    // The probe loop restored the member; re-apply the move
-                    // for real. A failed pop abandons the session.
-                    if live.pop(&pool_workers[evicted]) {
-                        live.push(&pool_workers[candidate]);
-                    } else {
-                        session = None;
-                    }
-                }
+                // The probe loop restored the member; re-apply the move
+                // for real.
+                session.pop(&pool_workers[evicted]);
+                session.push(&pool_workers[candidate]);
                 swaps += 1;
             }
         }
-        current_value = match &mut session {
-            Some(live) => live.value(),
-            None => batch_value(objective, &current_workers(&jury_idx), prior),
-        };
+        current_value = session.value();
     }
 
     let jury = Jury::new(current_workers(&jury_idx));

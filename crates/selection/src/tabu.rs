@@ -10,24 +10,24 @@
 //! immediately. An **aspiration** rule overrides the tenure: a tabu move
 //! that would beat the best jury seen anywhere in the run is always allowed.
 //!
-//! Like the annealing solver, [`TabuSolver`] drives the objective's
-//! incremental session when one is available (each probe is an in-place
-//! push/value/pop costing `O(buckets)`), polls its [`SearchBudget`] at every
-//! probe, re-scores the winning jury through the batch objective, and races
-//! independent restarts from diversified starting juries. It plugs into the
-//! same [`JurySolver`] surface as every other solver and is one of the
-//! members a `SolverPolicy::Portfolio` can race.
+//! Like the annealing solver, [`TabuSolver`] probes through the objective's
+//! incremental session (each probe is an in-place push/value/pop, costing
+//! `O(buckets)` on an engine-backed session), polls its [`SearchBudget`] at
+//! every probe, re-scores the winning jury through the batch objective, and
+//! races independent restarts from diversified starting juries. It plugs
+//! into the same [`JurySolver`] surface as every other solver and is one of
+//! the members a `SolverPolicy::Portfolio` can race.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use jury_model::{Jury, Worker};
+use jury_model::Jury;
 
 use crate::annealing::{greedy_candidate_juries, SearchState};
 use crate::budget::SearchBudget;
-use crate::objective::{IncrementalSession, JuryObjective};
+use crate::objective::JuryObjective;
 use crate::parallel::SharedBestBound;
 use crate::problem::JspInstance;
 use crate::solver::{JurySolver, SolverResult};
@@ -49,9 +49,6 @@ pub struct TabuConfig {
     /// Whether the greedy top-quality and quality-per-cost fills also
     /// compete as candidate solutions.
     pub use_greedy_candidates: bool,
-    /// Whether to probe neighbours through the objective's incremental
-    /// session when it offers one.
-    pub use_incremental: bool,
 }
 
 impl Default for TabuConfig {
@@ -62,7 +59,6 @@ impl Default for TabuConfig {
             restarts: 2,
             seed: 0x7AB0,
             use_greedy_candidates: true,
-            use_incremental: true,
         }
     }
 }
@@ -95,12 +91,6 @@ impl TabuConfig {
     /// Enables or disables the greedy candidate juries.
     pub fn with_greedy_candidates(mut self, enabled: bool) -> Self {
         self.use_greedy_candidates = enabled;
-        self
-    }
-
-    /// Enables or disables incremental-session probing.
-    pub fn with_incremental(mut self, enabled: bool) -> Self {
-        self.use_incremental = enabled;
         self
     }
 }
@@ -206,29 +196,19 @@ impl<O: JuryObjective> TabuSolver<O> {
         let workers = instance.pool().workers();
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(restart as u64));
         let mut state = SearchState::new(n);
-        let mut session: Option<Box<dyn IncrementalSession + '_>> = if self.config.use_incremental {
-            self.objective.incremental_session(instance)
-        } else {
-            None
-        };
+        let mut session = self.objective.incremental_session(instance);
 
         for index in self.start_order(instance, restart, &mut rng) {
             if !state.selected[index]
                 && state.spent + workers[index].cost() <= instance.budget() + 1e-12
             {
                 state.add(index, &workers[index]);
-                if let Some(live) = &mut session {
-                    live.push(&workers[index]);
-                }
+                session.push(&workers[index]);
             }
         }
 
-        let mut current = match &session {
-            Some(live) => live.value(),
-            None => self.objective.evaluate(&state.jury(), instance.prior()),
-        };
         let mut best_jury = state.jury();
-        let mut best_value = current;
+        let mut best_value = session.value();
         // `tabu_until[i] > iter` bars worker `i` from entering or leaving.
         let mut tabu_until = vec![0usize; n];
         let mut truncated = false;
@@ -274,24 +254,15 @@ impl<O: JuryObjective> TabuSolver<O> {
                 {
                     continue;
                 }
-                // Cooperative checkpoint between probes; the session is
-                // balanced here, so stopping keeps it consistent.
+                // Cooperative checkpoint between probes.
                 if self.budget.exhausted(self.objective.evaluations()) {
                     truncated = true;
                     break 'iterations;
                 }
                 let worker = &workers[in_index];
-                let value = match &mut session {
-                    Some(live) => {
-                        live.push(worker);
-                        let value = live.value();
-                        live.pop(worker);
-                        value
-                    }
-                    None => self
-                        .objective
-                        .evaluate(&state.jury().with_worker(worker.clone()), instance.prior()),
-                };
+                session.push(worker);
+                let value = session.value();
+                session.pop(worker);
                 consider(
                     Move::Add(in_index),
                     value,
@@ -303,16 +274,7 @@ impl<O: JuryObjective> TabuSolver<O> {
             // Swaps: every affordable replacement for the outgoing member.
             if let Some(out_index) = out_index {
                 let out_worker = &workers[out_index];
-                let mut out_popped = false;
-                if let Some(live) = &mut session {
-                    out_popped = live.pop(out_worker);
-                    if !out_popped {
-                        // The session lost track of the jury (cannot happen
-                        // with the engines shipped here): abandon it and
-                        // probe by batch evaluation for the rest of the run.
-                        session = None;
-                    }
-                }
+                session.pop(out_worker);
                 for in_index in 0..n {
                     if state.selected[in_index]
                         || in_index == out_index
@@ -323,33 +285,12 @@ impl<O: JuryObjective> TabuSolver<O> {
                     }
                     if self.budget.exhausted(self.objective.evaluations()) {
                         truncated = true;
-                        if out_popped {
-                            if let Some(live) = &mut session {
-                                live.push(out_worker);
-                            }
-                        }
                         break 'iterations;
                     }
                     let in_worker = &workers[in_index];
-                    let value = match &mut session {
-                        Some(live) => {
-                            live.push(in_worker);
-                            let value = live.value();
-                            live.pop(in_worker);
-                            value
-                        }
-                        None => {
-                            let mut members: Vec<Worker> = state
-                                .jury_members
-                                .iter()
-                                .filter(|w| w.id() != out_worker.id())
-                                .cloned()
-                                .collect();
-                            members.push(in_worker.clone());
-                            self.objective
-                                .evaluate(&Jury::new(members), instance.prior())
-                        }
-                    };
+                    session.push(in_worker);
+                    let value = session.value();
+                    session.pop(in_worker);
                     consider(
                         Move::Swap(out_index, in_index),
                         value,
@@ -357,11 +298,7 @@ impl<O: JuryObjective> TabuSolver<O> {
                         aspiration_floor,
                     );
                 }
-                if out_popped {
-                    if let Some(live) = &mut session {
-                        live.push(out_worker);
-                    }
-                }
+                session.restore(out_worker);
             }
 
             // Move to the best admissible neighbour — even a worsening one;
@@ -372,25 +309,19 @@ impl<O: JuryObjective> TabuSolver<O> {
             match mv {
                 Move::Add(in_index) => {
                     state.add(in_index, &workers[in_index]);
-                    if let Some(live) = &mut session {
-                        live.push(&workers[in_index]);
-                    }
+                    session.push(&workers[in_index]);
                     tabu_until[in_index] = iter + self.config.tenure;
                 }
                 Move::Swap(out_index, in_index) => {
-                    let out_worker = workers[out_index].clone();
-                    state.swap(out_index, &out_worker, in_index, &workers[in_index]);
-                    if let Some(live) = &mut session {
-                        live.pop(&out_worker);
-                        live.push(&workers[in_index]);
-                    }
+                    state.swap(out_index, &workers[out_index], in_index, &workers[in_index]);
+                    session.pop(&workers[out_index]);
+                    session.push(&workers[in_index]);
                     tabu_until[out_index] = iter + self.config.tenure;
                     tabu_until[in_index] = iter + self.config.tenure;
                 }
             }
-            current = value;
-            if current > best_value {
-                best_value = current;
+            if value > best_value {
+                best_value = value;
                 best_jury = state.jury();
             }
         }
@@ -456,7 +387,7 @@ impl<O: JuryObjective> JurySolver for TabuSolver<O> {
 mod tests {
     use super::*;
     use crate::exhaustive::ExhaustiveSolver;
-    use crate::objective::BvObjective;
+    use crate::objective::{BatchOnly, BvObjective};
     use jury_model::paper_example_pool;
 
     fn paper_instance(budget: f64) -> JspInstance {
@@ -470,14 +401,12 @@ mod tests {
             .with_iterations(9)
             .with_restarts(0)
             .with_seed(3)
-            .with_greedy_candidates(false)
-            .with_incremental(false);
+            .with_greedy_candidates(false);
         assert_eq!(config.tenure, 1);
         assert_eq!(config.iterations, 9);
         assert_eq!(config.restarts, 1);
         assert_eq!(config.seed, 3);
         assert!(!config.use_greedy_candidates);
-        assert!(!config.use_incremental);
     }
 
     #[test]
@@ -567,11 +496,7 @@ mod tests {
         let pool = jury_model::WorkerPool::from_qualities_and_costs(&qualities, &costs).unwrap();
         let instance = JspInstance::with_uniform_prior(pool, 10.0).unwrap();
         let incremental = TabuSolver::new(BvObjective::new()).solve(&instance);
-        let classic = TabuSolver::with_config(
-            BvObjective::new(),
-            TabuConfig::default().with_incremental(false),
-        )
-        .solve(&instance);
+        let classic = TabuSolver::new(BatchOnly(BvObjective::new())).solve(&instance);
         assert!(instance.is_feasible(&incremental.jury));
         assert!(instance.is_feasible(&classic.jury));
         assert!(

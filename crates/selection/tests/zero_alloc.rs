@@ -56,9 +56,7 @@ fn run_session_cycle(
     instance: &JspInstance,
     pool: &WorkerPool,
 ) -> f64 {
-    let mut session = objective
-        .incremental_session(instance)
-        .expect("session must be available");
+    let mut session = objective.incremental_session(instance);
     let workers = pool.workers();
     for worker in &workers[..8] {
         session.push(worker);

@@ -29,7 +29,9 @@
 //! (`jury_jq::IncrementalJq` / `IncrementalMvJq` /
 //! `IncrementalMultiClassJq`), so the inner search loop of annealing and
 //! marginal greedy never pays a from-scratch JQ computation either — batch
-//! memoization outside, incremental updates inside.
+//! memoization outside, incremental updates inside. Pools without an
+//! engine get a [`BatchSession`] over the cached objective itself, so
+//! their probes are served by the store.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -40,8 +42,8 @@ use parking_lot::RwLock;
 use jury_jq::{jury_signature, multiclass_signature, JqEngine, JurySignature, SharedJqScratch};
 use jury_model::{CategoricalPrior, Jury, MatrixPool, MatrixWorker, ModelResult, Prior};
 use jury_selection::{
-    bv_incremental_session_in, mv_incremental_session_in, IncrementalSession, JspInstance,
-    JuryObjective, MultiClassBvObjective,
+    bv_incremental_session_in, mv_incremental_session_in, BatchSession, IncrementalSession,
+    JspInstance, JuryObjective, MultiClassBvObjective,
 };
 
 use crate::config::ServiceConfig;
@@ -375,7 +377,7 @@ impl JuryObjective for CachedObjective<'_> {
     fn incremental_session<'a>(
         &'a self,
         instance: &JspInstance,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
+    ) -> Box<dyn IncrementalSession + 'a> {
         self.incremental_session_in(instance, &self.scratch)
     }
 
@@ -383,7 +385,7 @@ impl JuryObjective for CachedObjective<'_> {
         &'a self,
         instance: &JspInstance,
         arena: &'a SharedJqScratch,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
+    ) -> Box<dyn IncrementalSession + 'a> {
         // The engine buffers come from the given arena: this objective's
         // own scratch for plain sessions, or a lane's arena — which is what
         // lets each portfolio lane reopen sessions without contending on
@@ -394,20 +396,16 @@ impl JuryObjective for CachedObjective<'_> {
                 // enumeration (and served by the cache); the quantized
                 // session only pays off beyond it.
                 if instance.num_candidates() <= self.engine.exact_cutoff() {
-                    return None;
+                    return Box::new(BatchSession::new(self, instance.prior()));
                 }
-                Some(bv_incremental_session_in(
+                bv_incremental_session_in(
                     instance,
                     *self.engine.bucket_estimator().config(),
                     &self.requests,
                     arena,
-                ))
+                )
             }
-            Strategy::Mv => Some(mv_incremental_session_in(
-                instance.prior(),
-                &self.requests,
-                arena,
-            )),
+            Strategy::Mv => mv_incremental_session_in(instance.prior(), &self.requests, arena),
         }
     }
 }
@@ -465,7 +463,7 @@ impl<'a> CachedMultiClassObjective<'a> {
         self.local_hits.load(Ordering::Relaxed)
     }
 
-    /// Whether a pool of `candidates` members requires incremental sessions
+    /// Whether a pool of `candidates` members requires the incremental engine
     /// under this objective's configuration (see
     /// [`MultiClassBvObjective::session_required`]).
     pub(crate) fn session_required(&self, candidates: usize) -> bool {
@@ -511,7 +509,12 @@ impl JuryObjective for CachedMultiClassObjective<'_> {
     fn incremental_session<'a>(
         &'a self,
         instance: &JspInstance,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
+    ) -> Box<dyn IncrementalSession + 'a> {
+        // Below the engine crossover every probe is a batch evaluation, so
+        // it goes through `self` and the shared store.
+        if !self.session_required(instance.num_candidates()) {
+            return Box::new(BatchSession::new(self, instance.prior()));
+        }
         self.inner.incremental_session(instance)
     }
 }

@@ -155,8 +155,8 @@ pub struct ServiceConfig {
     /// exponential grids.
     pub multiclass_incremental: MultiClassIncrementalConfig,
     /// Multi-class pools of at most this many candidates run their searches
-    /// on the sparse scratch DP instead of incremental sessions (the
-    /// measured crossover; see
+    /// on the sparse scratch DP, through a batch session, instead of the
+    /// incremental engine (the measured crossover; see
     /// [`jury_selection::DEFAULT_MULTICLASS_SESSION_POOL_CUTOFF`]).
     pub multiclass_session_cutoff: usize,
 }

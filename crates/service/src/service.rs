@@ -1024,7 +1024,7 @@ impl SelectKind for MultiClassSelectionRequest {
     ) -> Result<(WorkerPool, Prior, CachedMultiClassObjective<'c>), ServiceError> {
         let pool = self.pool();
         let objective = CachedMultiClassObjective::new(pool, &prior, config, cache)?;
-        // A pool whose search would *require* incremental sessions (past
+        // A pool whose search would *require* the incremental engine (past
         // both the session crossover and the exact voting-space cutoff) but
         // whose coarsest grid overflows `max_cells` is refused with a typed
         // error instead of silently running the exponential scratch DP. The
