@@ -10,7 +10,7 @@
 //! * [`exact::exact_jq`] — exhaustive enumeration for any strategy
 //!   (exponential; ground truth for tests and small experiments);
 //! * [`exact::exact_bv_jq`] — the `Σ_V max(P_0, P_1)` formulation for
-//!   Bayesian voting;
+//!   Bayesian voting, and [`exact::ExactBvJq`], its push/pop form;
 //! * [`mv::mv_jq`] — exact polynomial JQ for Majority Voting via a
 //!   Poisson-binomial dynamic program (the quantity the MVJS baseline
 //!   optimizes);
@@ -70,7 +70,7 @@ pub use bounds::{error_bound, recommended_buckets, recommended_multiplier};
 pub use bucket::{bucket_index, bv_jq, BucketCount, BucketJqConfig, BucketJqEstimator, JqEstimate};
 pub use error::{JqError, JqResult};
 pub use estimator::{JqBackend, JqEngine, JqValue};
-pub use exact::{exact_bv_jq, exact_jq, MAX_EXACT_JURY};
+pub use exact::{exact_bv_jq, exact_jq, ExactBvJq, MAX_EXACT_JURY};
 pub use hardness::{has_equal_partition, partition_gadget};
 pub use incremental::{IncrementalJq, IncrementalJqConfig, IncrementalMvJq, IncrementalStats};
 pub use kernel::{JqScratch, KernelMode, SharedJqScratch};

@@ -173,8 +173,9 @@ impl<'a> IntoIterator for &'a Jury {
 /// exceed `budget` — the feasible jury set `C` of Section 2.2.
 ///
 /// Subsets are generated in bitmask order, skipping (entire) subtrees is not
-/// attempted; this is the brute-force companion used by the exhaustive JSP
-/// solver and by tests, and is limited to pools of at most 25 workers.
+/// attempted; this is the brute-force reference the exhaustive JSP solver's
+/// depth-first walk is tested against, and is limited to pools of at most
+/// 25 workers.
 pub fn feasible_juries(pool: &WorkerPool, budget: f64) -> Vec<Jury> {
     let n = pool.len();
     assert!(

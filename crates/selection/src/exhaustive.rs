@@ -4,12 +4,27 @@
 //! the reference the simulated-annealing heuristic is measured against in
 //! Figure 7(a) / Table 3, where the paper fixes `N = 11` precisely so that
 //! this enumeration stays tractable.
+//!
+//! The enumeration is one depth-first walk through the objective's
+//! [`scoring_session`](JuryObjective::scoring_session): it pushes
+//! candidates in ascending index order, skips any candidate the running
+//! cost cannot afford, reads the value of every feasible jury it reaches
+//! and pops on the way back. For BV within the exact cutoff a visit costs
+//! one doubling of the exact enumeration's level stack
+//! (`jury_jq::ExactBvJq`) instead of a fresh jury and evaluation.
+//!
+//! Every feasible jury is visited, the dominated ones included. Lemma 1
+//! would let BV skip a jury that still has room for another candidate,
+//! but a dominated jury can tie its maximal superset exactly ({0.9} and
+//! {0.9, 0.6, 0.6} both score 0.9), and skipping them moved the served
+//! jury on such ties in the online loop's batches. MV is not monotone at
+//! all, so the full sweep is the one rule for every objective.
 
 use std::time::Instant;
 
-use jury_model::Jury;
+use jury_model::{Jury, Worker};
 
-use crate::objective::JuryObjective;
+use crate::objective::{IncrementalSession, JuryObjective};
 use crate::problem::JspInstance;
 use crate::solver::{JurySolver, SolveError, SolverResult};
 
@@ -33,45 +48,73 @@ impl<O: JuryObjective> ExhaustiveSolver<O> {
     }
 }
 
+/// The depth-first walk: every feasible jury, each one push away from its
+/// parent.
+struct Walk<'w, 's> {
+    workers: &'w [Worker],
+    /// `budget + 1e-12`, the feasibility test of [`JspInstance::is_feasible`].
+    limit: f64,
+    session: Box<dyn IncrementalSession + 's>,
+    /// `(mask, value)` of every non-empty jury visited, in visit order.
+    visited: Vec<(u32, f64)>,
+}
+
+impl Walk<'_, '_> {
+    /// Visits every extension of the jury `mask` (costing `cost`, summed
+    /// left to right) by candidates from `from` on.
+    fn descend(&mut self, from: usize, mask: u32, cost: f64) {
+        for (i, worker) in self.workers.iter().enumerate().skip(from) {
+            let cost = cost + worker.cost();
+            if cost > self.limit {
+                continue;
+            }
+            let mask = mask | 1 << i;
+            self.session.push(worker);
+            self.visited.push((mask, self.session.value()));
+            self.descend(i + 1, mask, cost);
+            self.session.pop(worker);
+        }
+    }
+}
+
 impl<O: JuryObjective> ExhaustiveSolver<O> {
     fn enumerate(&self, instance: &JspInstance) -> SolverResult {
-        let n = instance.num_candidates();
         let start = Instant::now();
         let evaluations_before = self.objective.evaluations();
         let workers = instance.pool().workers();
-        let budget = instance.budget();
-        let prior = instance.prior();
 
-        let mut best_jury = Jury::empty();
-        let mut best_value = self.objective.evaluate(&best_jury, prior);
+        // The empty jury is scored by `evaluate`, the one store entry that
+        // every exhaustive request of a caching objective shares.
+        let mut best_value = self.objective.evaluate(&Jury::empty(), instance.prior());
+        let mut walk = Walk {
+            workers,
+            limit: instance.budget() + 1e-12,
+            session: self.objective.scoring_session(instance),
+            visited: Vec::new(),
+        };
+        walk.descend(0, 0, 0.0);
 
-        // Enumerate subsets by bitmask with a cheap cost pre-filter; Lemma 1
-        // (monotonicity in jury size) means dominated subsets could be
-        // skipped, but at N ≤ 22 the straightforward sweep is already fast
-        // and keeps the solver exact for any objective, monotone or not.
-        for mask in 1u32..(1u32 << n) {
-            let mut cost = 0.0;
-            for (i, worker) in workers.iter().enumerate() {
-                if (mask >> i) & 1 == 1 {
-                    cost += worker.cost();
-                }
-            }
-            if cost > budget + 1e-12 {
-                continue;
-            }
-            let members: Vec<_> = workers
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| (mask >> i) & 1 == 1)
-                .map(|(_, w)| w.clone())
-                .collect();
-            let jury = Jury::new(members);
-            let value = self.objective.evaluate(&jury, prior);
+        // Costs are non-negative, so every prefix of a feasible jury is
+        // feasible and the walk visits exactly the feasible masks. Replaying
+        // them in ascending mask order keeps, on a tie within 1e-15, the
+        // jury a bitmask sweep keeps.
+        let mut visited = walk.visited;
+        visited.sort_unstable_by_key(|&(mask, _)| mask);
+        let mut best_mask = 0;
+        for (mask, value) in visited {
             if value > best_value + 1e-15 {
                 best_value = value;
-                best_jury = jury;
+                best_mask = mask;
             }
         }
+        let best_jury = Jury::new(
+            workers
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| (best_mask >> i) & 1 == 1)
+                .map(|(_, w)| w.clone())
+                .collect(),
+        );
 
         SolverResult {
             jury: best_jury,
@@ -239,5 +282,63 @@ mod tests {
             .try_solve(&paper_instance(15.0))
             .unwrap();
         assert!((ok.objective_value - 0.845).abs() < 1e-9);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::objective::{BvObjective, MvObjective};
+    use jury_model::{feasible_juries, Prior, WorkerPool};
+    use proptest::prelude::*;
+
+    /// Pools of up to 12 candidates with heterogeneous costs; qualities
+    /// are drawn from a short list, so duplicates — and with them exact
+    /// ties between juries — are common.
+    fn pool() -> impl Strategy<Value = WorkerPool> {
+        const QUALITIES: [f64; 7] = [0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.9];
+        let quality = (0..QUALITIES.len()).prop_map(|i| QUALITIES[i]);
+        proptest::collection::vec((quality, 0.3f64..3.0), 0..=12).prop_map(|pairs| {
+            let (qualities, costs): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+            WorkerPool::from_qualities_and_costs(&qualities, &costs).unwrap()
+        })
+    }
+
+    /// The walk against the bitmask sweep it replaced: every feasible jury
+    /// in ascending mask order, scored by `evaluate`, under the same 1e-15
+    /// tie rule.
+    fn assert_same<O: JuryObjective>(
+        make: impl Fn() -> O,
+        instance: &JspInstance,
+    ) -> Result<(), String> {
+        let walked = ExhaustiveSolver::new(make()).solve(instance);
+        let objective = make();
+        let (mut jury, mut value) = (Jury::empty(), f64::NEG_INFINITY);
+        for candidate in feasible_juries(instance.pool(), instance.budget()) {
+            let score = objective.evaluate(&candidate, instance.prior());
+            if score > value + 1e-15 {
+                (jury, value) = (candidate, score);
+            }
+        }
+        prop_assert_eq!(walked.jury.ids(), jury.ids());
+        prop_assert_eq!(walked.objective_value.to_bits(), value.to_bits());
+        prop_assert_eq!(walked.evaluations, objective.evaluations());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The depth-first walk serves the sweep's jury ids, value bits and
+        /// evaluation count under BV (uniform and skewed prior) and MV.
+        #[test]
+        fn the_walk_matches_the_bitmask_sweep(pool in pool(), fraction in 0.0f64..0.8) {
+            let budget = fraction * pool.workers().iter().map(|w| w.cost()).sum::<f64>();
+            let uniform = JspInstance::with_uniform_prior(pool.clone(), budget).unwrap();
+            let skewed = JspInstance::new(pool, budget, Prior::new(0.3).unwrap()).unwrap();
+            assert_same(BvObjective::new, &uniform)?;
+            assert_same(BvObjective::new, &skewed)?;
+            assert_same(MvObjective::new, &uniform)?;
+        }
     }
 }

@@ -66,8 +66,8 @@ pub use multiclass::{
 };
 pub use mvjs::MvjsSolver;
 pub use objective::{
-    bv_incremental_session_in, mv_incremental_session_in, BatchSession, BvObjective,
-    IncrementalSession, JuryObjective, MvObjective,
+    bv_incremental_session_in, exact_bv_session_in, mv_incremental_session_in, BatchSession,
+    BvObjective, IncrementalSession, JuryObjective, MvObjective,
 };
 pub use parallel::{ArenaObjective, ParallelPolicy, SharedBestBound};
 pub use portfolio::{PortfolioConfig, PortfolioMember, PortfolioSolver};

@@ -12,14 +12,19 @@
 //! mutates one worker at a time. Where an engine pays off
 //! (`jury_jq::IncrementalJq` / `jury_jq::IncrementalMvJq` underneath), a
 //! neighbourhood search pays `O(buckets)` per candidate jury instead of
-//! rebuilding the whole JQ dynamic program; everywhere else the session is
-//! a [`BatchSession`] that answers through `evaluate`. Solvers therefore
-//! have one probe path — push, value, pop — whatever the objective.
+//! rebuilding the whole JQ dynamic program; BV pools within the exact
+//! cutoff run `jury_jq::ExactBvJq`, which keeps exact enumeration's bits;
+//! everywhere else the session is a [`BatchSession`] that answers through
+//! `evaluate`. Solvers therefore have one probe path — push, value, pop —
+//! whatever the objective. [`JuryObjective::scoring_session`] is the
+//! session exhaustive enumeration walks: its values are the objective's
+//! own, bit for bit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use jury_jq::{
-    BucketJqConfig, IncrementalJq, IncrementalJqConfig, IncrementalMvJq, JqEngine, SharedJqScratch,
+    BucketJqConfig, ExactBvJq, IncrementalJq, IncrementalJqConfig, IncrementalMvJq, JqEngine,
+    JqScratch, SharedJqScratch,
 };
 use jury_model::{Jury, Prior, Worker, WorkerId};
 
@@ -149,6 +154,16 @@ pub trait JuryObjective: Send + Sync {
         Box::new(BatchSession::new(self, instance.prior()))
     }
 
+    /// Opens a session whose [`value`](IncrementalSession::value) is the
+    /// objective's own computation for the members in push order: what
+    /// [`evaluate`](Self::evaluate) of an uncached objective returns for
+    /// that jury, bit for bit. Exhaustive enumeration walks juries through
+    /// it. The default is a [`BatchSession`] over `self`; objectives with
+    /// an exact push/pop engine for the instance return that instead.
+    fn scoring_session<'a>(&'a self, instance: &JspInstance) -> Box<dyn IncrementalSession + 'a> {
+        Box::new(BatchSession::new(self, instance.prior()))
+    }
+
     /// Like [`incremental_session`](Self::incremental_session), but draws
     /// the engine's buffers from a caller-owned arena instead of the
     /// objective's shared one — the hook the parallel solvers use to give
@@ -189,6 +204,10 @@ impl<O: JuryObjective + ?Sized> JuryObjective for &O {
         (**self).incremental_session(instance)
     }
 
+    fn scoring_session<'a>(&'a self, instance: &JspInstance) -> Box<dyn IncrementalSession + 'a> {
+        (**self).scoring_session(instance)
+    }
+
     fn incremental_session_in<'a>(
         &'a self,
         instance: &JspInstance,
@@ -219,71 +238,121 @@ impl<O: JuryObjective> JuryObjective for BatchOnly<O> {
     }
 }
 
-/// [`IncrementalSession`] over `JQ(J, BV, α)` via [`IncrementalJq`], with
-/// evaluations ticking a caller-owned counter.
+/// A JQ engine an arena-backed session drives: one worker at a time in,
+/// one out, and its buffers back to the arena at the end.
+trait SessionEngine: Sized + 'static {
+    fn push(&mut self, worker: &Worker);
+    fn pop(&mut self, worker: &Worker) -> bool;
+    fn restore(&mut self, worker: &Worker) {
+        self.push(worker);
+    }
+    fn value(&self, prior: Prior) -> f64;
+    fn recycle(self, arena: &mut JqScratch);
+}
+
+impl SessionEngine for IncrementalJq {
+    fn push(&mut self, worker: &Worker) {
+        self.push_worker(worker);
+    }
+
+    fn pop(&mut self, worker: &Worker) -> bool {
+        self.pop_worker(worker).is_ok()
+    }
+
+    /// The prior is folded in at construction.
+    fn value(&self, _prior: Prior) -> f64 {
+        self.jq()
+    }
+
+    fn recycle(self, arena: &mut JqScratch) {
+        IncrementalJq::recycle(self, arena);
+    }
+}
+
+impl SessionEngine for IncrementalMvJq {
+    fn push(&mut self, worker: &Worker) {
+        self.push_worker(worker);
+    }
+
+    fn pop(&mut self, worker: &Worker) -> bool {
+        self.pop_worker(worker).is_ok()
+    }
+
+    fn value(&self, prior: Prior) -> f64 {
+        self.jq(prior)
+    }
+
+    fn recycle(self, arena: &mut JqScratch) {
+        IncrementalMvJq::recycle(self, arena);
+    }
+}
+
+impl SessionEngine for ExactBvJq {
+    fn push(&mut self, worker: &Worker) {
+        self.push_worker(worker);
+    }
+
+    fn pop(&mut self, worker: &Worker) -> bool {
+        self.pop_worker(worker).is_ok()
+    }
+
+    fn restore(&mut self, worker: &Worker) {
+        self.restore_worker(worker);
+    }
+
+    fn value(&self, prior: Prior) -> f64 {
+        self.jq(prior)
+    }
+
+    fn recycle(self, arena: &mut JqScratch) {
+        ExactBvJq::recycle(self, arena);
+    }
+}
+
+/// [`IncrementalSession`] over a [`SessionEngine`], with evaluations
+/// ticking a caller-owned counter.
 ///
 /// The engine lives in an `Option` only so `Drop` can move it back into the
 /// shared scratch arena; it is `Some` for the whole usable life of the
 /// session.
-struct BvSession<'a> {
-    engine: Option<IncrementalJq>,
-    scratch: &'a SharedJqScratch,
-    evaluations: &'a AtomicU64,
-}
-
-impl BvSession<'_> {
-    fn engine_mut(&mut self) -> &mut IncrementalJq {
-        self.engine.as_mut().expect("engine is present until drop")
-    }
-}
-
-impl IncrementalSession for BvSession<'_> {
-    fn push(&mut self, worker: &Worker) {
-        self.engine_mut().push_worker(worker);
-    }
-
-    fn pop(&mut self, worker: &Worker) -> bool {
-        self.engine_mut().pop_worker(worker).is_ok()
-    }
-
-    fn value(&self) -> f64 {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.engine
-            .as_ref()
-            .expect("engine is present until drop")
-            .jq()
-    }
-}
-
-impl Drop for BvSession<'_> {
-    fn drop(&mut self) {
-        if let Some(engine) = self.engine.take() {
-            engine.recycle(&mut self.scratch.lock());
-        }
-    }
-}
-
-/// [`IncrementalSession`] over `JQ(J, MV, α)` via [`IncrementalMvJq`].
-struct MvSession<'a> {
-    engine: Option<IncrementalMvJq>,
+struct EngineSession<'a, E: SessionEngine> {
+    engine: Option<E>,
     scratch: &'a SharedJqScratch,
     prior: Prior,
     evaluations: &'a AtomicU64,
 }
 
-impl MvSession<'_> {
-    fn engine_mut(&mut self) -> &mut IncrementalMvJq {
+impl<'a, E: SessionEngine> EngineSession<'a, E> {
+    fn boxed(
+        engine: E,
+        scratch: &'a SharedJqScratch,
+        prior: Prior,
+        evaluations: &'a AtomicU64,
+    ) -> Box<dyn IncrementalSession + 'a> {
+        Box::new(EngineSession {
+            engine: Some(engine),
+            scratch,
+            prior,
+            evaluations,
+        })
+    }
+
+    fn engine_mut(&mut self) -> &mut E {
         self.engine.as_mut().expect("engine is present until drop")
     }
 }
 
-impl IncrementalSession for MvSession<'_> {
+impl<E: SessionEngine> IncrementalSession for EngineSession<'_, E> {
     fn push(&mut self, worker: &Worker) {
-        self.engine_mut().push_worker(worker);
+        self.engine_mut().push(worker);
     }
 
     fn pop(&mut self, worker: &Worker) -> bool {
-        self.engine_mut().pop_worker(worker).is_ok()
+        self.engine_mut().pop(worker)
+    }
+
+    fn restore(&mut self, worker: &Worker) {
+        self.engine_mut().restore(worker);
     }
 
     fn value(&self) -> f64 {
@@ -291,11 +360,11 @@ impl IncrementalSession for MvSession<'_> {
         self.engine
             .as_ref()
             .expect("engine is present until drop")
-            .jq(self.prior)
+            .value(self.prior)
     }
 }
 
-impl Drop for MvSession<'_> {
+impl<E: SessionEngine> Drop for EngineSession<'_, E> {
     fn drop(&mut self) {
         if let Some(engine) = self.engine.take() {
             engine.recycle(&mut self.scratch.lock());
@@ -328,11 +397,7 @@ pub fn bv_incremental_session_in<'a>(
         instance.max_jury_size(),
         &mut scratch.lock(),
     );
-    Box::new(BvSession {
-        engine: Some(engine),
-        scratch,
-        evaluations,
-    })
+    EngineSession::boxed(engine, scratch, instance.prior(), evaluations)
 }
 
 /// Builds an MV incremental session, arena-backed like
@@ -344,12 +409,21 @@ pub fn mv_incremental_session_in<'a>(
     scratch: &'a SharedJqScratch,
 ) -> Box<dyn IncrementalSession + 'a> {
     let engine = IncrementalMvJq::new_in(&mut scratch.lock());
-    Box::new(MvSession {
-        engine: Some(engine),
-        scratch,
-        prior,
-        evaluations,
-    })
+    EngineSession::boxed(engine, scratch, prior, evaluations)
+}
+
+/// Builds an exact BV session ([`ExactBvJq`]), arena-backed like
+/// [`bv_incremental_session_in`] and sized for
+/// [`JspInstance::max_jury_size`]. Its values are `exact_bv_jq` of the
+/// members in order, bit for bit — what [`JqEngine::bv_jq`] returns for
+/// every jury within its exact cutoff.
+pub fn exact_bv_session_in<'a>(
+    instance: &JspInstance,
+    evaluations: &'a AtomicU64,
+    scratch: &'a SharedJqScratch,
+) -> Box<dyn IncrementalSession + 'a> {
+    let engine = ExactBvJq::new_in(instance.max_jury_size(), &mut scratch.lock());
+    EngineSession::boxed(engine, scratch, instance.prior(), evaluations)
 }
 
 /// The OPTJS objective: `JQ(J, BV, α)`, computed by the [`JqEngine`]
@@ -408,6 +482,16 @@ impl JuryObjective for BvObjective {
         self.incremental_session_in(instance, &self.scratch)
     }
 
+    fn scoring_session<'a>(&'a self, instance: &JspInstance) -> Box<dyn IncrementalSession + 'a> {
+        // Every jury the instance admits is within the exact cutoff, so
+        // `evaluate` enumerates it exactly — which the exact session
+        // reproduces bit for bit.
+        if instance.max_jury_size() <= self.engine.exact_cutoff() {
+            return exact_bv_session_in(instance, &self.evaluations, &self.scratch);
+        }
+        Box::new(BatchSession::new(self, instance.prior()))
+    }
+
     fn incremental_session_in<'a>(
         &'a self,
         instance: &JspInstance,
@@ -417,7 +501,7 @@ impl JuryObjective for BvObjective {
         // enumeration anyway — a quantized incremental grid would only trade
         // precision for nothing there.
         if instance.num_candidates() <= self.engine.exact_cutoff() {
-            return Box::new(BatchSession::new(self, instance.prior()));
+            return exact_bv_session_in(instance, &self.evaluations, arena);
         }
         bv_incremental_session_in(
             instance,
@@ -523,8 +607,9 @@ mod tests {
 
     #[test]
     fn bv_sessions_are_gated_by_the_exact_cutoff() {
-        // Within the cutoff the session is a batch one: its values are the
-        // objective's own, bit for bit, and no engine buffers are drawn.
+        // Within the cutoff the session is the exact one: its values are
+        // `exact_bv_jq` of the members in order — the objective's own, bit
+        // for bit — and its buffers go back to the objective's arena.
         let obj = BvObjective::new();
         let small =
             JspInstance::with_uniform_prior(jury_model::paper_example_pool(), 15.0).unwrap();
@@ -534,18 +619,46 @@ mod tests {
             for worker in members {
                 session.push(worker);
             }
-            let direct = obj.evaluate(&Jury::new(members.to_vec()), Prior::uniform());
+            let jury = Jury::new(members.to_vec());
+            let exact = jury_jq::exact_bv_jq(&jury, Prior::uniform()).unwrap();
+            assert_eq!(session.value().to_bits(), exact.to_bits());
+            let direct = obj.evaluate(&jury, Prior::uniform());
             assert_eq!(session.value().to_bits(), direct.to_bits());
         }
-        assert_eq!(obj.scratch.lock().buffers_held(), 0);
+        let held = obj.scratch.lock().buffers_held();
+        assert!(held > 0);
 
-        // Past it the session runs the engine, whose buffers go back to the
-        // objective's arena on drop.
+        // Past it the session runs the bucket engine, whose buffers go back
+        // to the objective's arena on drop too.
         let big_pool =
             jury_model::WorkerPool::from_qualities_and_costs(&[0.7; 20], &[1.0; 20]).unwrap();
         let big = JspInstance::with_uniform_prior(big_pool, 5.0).unwrap();
         drop(obj.incremental_session(&big));
-        assert!(obj.scratch.lock().buffers_held() > 0);
+        assert!(obj.scratch.lock().buffers_held() >= held);
+    }
+
+    #[test]
+    fn scoring_sessions_are_gated_by_the_largest_affordable_jury() {
+        // 20 candidates, but no affordable jury exceeds the exact cutoff:
+        // the scoring session is exact and matches `evaluate` bit for bit.
+        let qualities: Vec<f64> = (0..20).map(|i| 0.55 + 0.02 * i as f64).collect();
+        let pool =
+            jury_model::WorkerPool::from_qualities_and_costs(&qualities, &[1.0; 20]).unwrap();
+        let obj = BvObjective::new();
+        for budget in [5.0, 12.0, 15.0] {
+            let instance = JspInstance::with_uniform_prior(pool.clone(), budget).unwrap();
+            let members = &pool.workers()[3..3 + instance.max_jury_size().min(9)];
+            let mut session = obj.scoring_session(&instance);
+            for worker in members {
+                session.push(worker);
+            }
+            let direct = obj.evaluate(&Jury::new(members.to_vec()), Prior::uniform());
+            assert_eq!(
+                session.value().to_bits(),
+                direct.to_bits(),
+                "budget {budget}"
+            );
+        }
     }
 
     #[test]
@@ -631,8 +744,8 @@ mod proptests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Pools of 15–20 candidates: above the default exact cutoff (14), so
-    /// `BvObjective` opens a session.
+    /// Pools of 15–20 candidates: above `BvObjective::new()`'s exact
+    /// cutoff (12), so it opens a bucket session.
     fn session_pool() -> impl Strategy<Value = WorkerPool> {
         proptest::collection::vec(((0.3f64..0.95), (0.5f64..2.0)), 15..21).prop_map(|pairs| {
             let (qualities, costs): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();

@@ -11,8 +11,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use jury_jq::SharedJqScratch;
-use jury_model::WorkerPool;
-use jury_selection::{ArenaObjective, BvObjective, JspInstance, JuryObjective, MvObjective};
+use jury_model::{Worker, WorkerPool};
+use jury_selection::{
+    ArenaObjective, BvObjective, IncrementalSession, JspInstance, JuryObjective, MvObjective,
+};
 
 /// Forwards to the system allocator, counting every allocation entry point
 /// (`alloc`, `alloc_zeroed`, `realloc`); frees are not counted.
@@ -48,16 +50,11 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// One full session lifecycle: open, push/pop the same worker sequence the
-/// warm-up used (so no buffer ever needs to grow), read the value, drop
-/// (which recycles the engine buffers into the objective's arena).
-fn run_session_cycle(
-    objective: &dyn JuryObjective,
-    instance: &JspInstance,
-    pool: &WorkerPool,
-) -> f64 {
-    let mut session = objective.incremental_session(instance);
-    let workers = pool.workers();
+/// One full session lifecycle on a freshly opened session: push/pop the
+/// same worker sequence the warm-up used (so no buffer ever needs to grow),
+/// read the value, drop (which recycles the engine buffers into the
+/// objective's arena).
+fn run_session_cycle(mut session: Box<dyn IncrementalSession + '_>, workers: &[Worker]) -> f64 {
     for worker in &workers[..8] {
         session.push(worker);
     }
@@ -79,22 +76,27 @@ fn run_session_cycle(
 fn warm_incremental_sessions_do_not_allocate() {
     let qualities: Vec<f64> = (0..20).map(|i| 0.55 + 0.02 * (i % 10) as f64).collect();
     let pool = WorkerPool::from_qualities_and_costs(&qualities, &[1.0; 20]).unwrap();
-    // 20 candidates exceed the exact cutoff (14), so the BV objective opens
-    // real incremental sessions.
+    // 20 candidates exceed `BvObjective::new()`'s exact cutoff (12), so the
+    // BV objective opens bucket sessions.
     let instance = JspInstance::with_uniform_prior(pool.clone(), 8.0).unwrap();
+    // 12 candidates are within it: the BV objective opens exact sessions.
+    let small_pool = WorkerPool::from_workers(pool.workers()[..12].to_vec()).unwrap();
+    let small = JspInstance::with_uniform_prior(small_pool, 8.0).unwrap();
 
     let bv = BvObjective::new();
     let mv = MvObjective::new();
-    for (name, objective) in [
-        ("JQ(BV)", &bv as &dyn JuryObjective),
-        ("JQ(MV)", &mv as &dyn JuryObjective),
+    let exact = BvObjective::new();
+    for (name, objective, instance) in [
+        ("JQ(BV)", &bv as &dyn JuryObjective, &instance),
+        ("JQ(MV)", &mv as &dyn JuryObjective, &instance),
+        ("exact JQ(BV)", &exact as &dyn JuryObjective, &small),
     ] {
         // Warm-up: the first cycle pays every allocation once and returns
         // the buffers to the objective's arena when the session drops.
-        let warm = run_session_cycle(objective, &instance, &pool);
+        let warm = run_session_cycle(objective.incremental_session(instance), pool.workers());
 
         let before = allocations();
-        let hot = run_session_cycle(objective, &instance, &pool);
+        let hot = run_session_cycle(objective.incremental_session(instance), pool.workers());
         let spent = allocations() - before;
 
         assert_eq!(
@@ -126,14 +128,14 @@ fn warm_incremental_sessions_do_not_allocate() {
         let handles: Vec<_> = arenas
             .iter()
             .map(|arena| {
-                let (bv, instance, pool) = (&bv, &instance, &pool);
+                let (bv, instance, workers) = (&bv, &instance, pool.workers());
                 let (warmed, measured) = (&warmed, &measured);
                 scope.spawn(move || {
                     let lane = ArenaObjective::new(bv, arena);
-                    let warm = run_session_cycle(&lane, instance, pool);
+                    let warm = run_session_cycle(lane.incremental_session(instance), workers);
                     warmed.wait();
                     measured.wait();
-                    let hot = run_session_cycle(&lane, instance, pool);
+                    let hot = run_session_cycle(lane.incremental_session(instance), workers);
                     assert_eq!(
                         warm, hot,
                         "a lane's warm and hot cycles must compute identical values"

@@ -29,9 +29,11 @@
 //! (`jury_jq::IncrementalJq` / `IncrementalMvJq` /
 //! `IncrementalMultiClassJq`), so the inner search loop of annealing and
 //! marginal greedy never pays a from-scratch JQ computation either — batch
-//! memoization outside, incremental updates inside. Pools without an
-//! engine get a [`BatchSession`] over the cached objective itself, so
-//! their probes are served by the store.
+//! memoization outside, incremental updates inside. BV pools within the
+//! exact cutoff get an exact session (`jury_jq::ExactBvJq`), which scores
+//! a probe for less than a store lookup costs; pools without an engine get
+//! a [`BatchSession`] over the cached objective itself, so their probes
+//! are served by the store.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -42,8 +44,8 @@ use parking_lot::RwLock;
 use jury_jq::{jury_signature, multiclass_signature, JqEngine, JurySignature, SharedJqScratch};
 use jury_model::{CategoricalPrior, Jury, MatrixPool, MatrixWorker, ModelResult, Prior};
 use jury_selection::{
-    bv_incremental_session_in, mv_incremental_session_in, BatchSession, IncrementalSession,
-    JspInstance, JuryObjective, MultiClassBvObjective,
+    bv_incremental_session_in, exact_bv_session_in, mv_incremental_session_in, BatchSession,
+    IncrementalSession, JspInstance, JuryObjective, MultiClassBvObjective,
 };
 
 use crate::config::ServiceConfig;
@@ -381,6 +383,16 @@ impl JuryObjective for CachedObjective<'_> {
         self.incremental_session_in(instance, &self.scratch)
     }
 
+    fn scoring_session<'a>(&'a self, instance: &JspInstance) -> Box<dyn IncrementalSession + 'a> {
+        // When no affordable jury exceeds the exact cutoff, every value is
+        // exact enumeration, which the exact session reproduces bit for bit
+        // without signing or storing a jury.
+        if self.strategy == Strategy::Bv && instance.max_jury_size() <= self.engine.exact_cutoff() {
+            return exact_bv_session_in(instance, &self.requests, &self.scratch);
+        }
+        Box::new(BatchSession::new(self, instance.prior()))
+    }
+
     fn incremental_session_in<'a>(
         &'a self,
         instance: &JspInstance,
@@ -393,10 +405,9 @@ impl JuryObjective for CachedObjective<'_> {
         match self.strategy {
             Strategy::Bv => {
                 // Pools within the exact cutoff are evaluated by exact
-                // enumeration (and served by the cache); the quantized
-                // session only pays off beyond it.
+                // enumeration; the quantized session only pays off beyond it.
                 if instance.num_candidates() <= self.engine.exact_cutoff() {
-                    return Box::new(BatchSession::new(self, instance.prior()));
+                    return exact_bv_session_in(instance, &self.requests, arena);
                 }
                 bv_incremental_session_in(
                     instance,

@@ -305,9 +305,11 @@ impl JuryService {
     /// `search_budget` is polled at the cooperative checkpoints of the
     /// annealing and marginal-greedy searches; an exhausted budget comes
     /// back as `truncated: true` on the result, carrying the best feasible
-    /// jury found so far. The exact and MVJS paths are not budgeted: exact
-    /// enumeration only runs on pools bounded by the exact cutoff, and the
-    /// MVJS baseline's candidate scan is a single `O(n log n)` pass.
+    /// jury found so far. The exact and MVJS paths are not budgeted. `Auto`
+    /// and `Portfolio` enumerate only pools within the exact cutoff, but
+    /// `Exact` enumerates any pool up to [`MAX_EXHAUSTIVE_POOL`] (2^22
+    /// subsets) to completion, whatever the deadline; the MVJS baseline's
+    /// candidate scan is a single `O(n log n)` pass.
     pub(crate) fn dispatch_solver<O: JuryObjective>(
         &self,
         instance: &JspInstance,
