@@ -19,19 +19,18 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use jury_bench::{maybe_write_json, sweep, ExperimentArgs};
+use jury_bench::{maybe_write_json, select_jury, sweep, ComparisonSeries, ExperimentArgs, Series};
 use jury_jq::JqEngine;
 use jury_model::{CrowdDataset, Prior, WorkerPool};
-use jury_optjs::{ComparisonSeries, Mvjs, Optjs, Series, SystemConfig};
+use jury_service::{JuryService, ServiceConfig, Strategy};
 use jury_sim::{prefix_sweep, AmtCampaignConfig, AmtSimulator};
 
-/// Average, over every task of the dataset, of the jury quality each system
-/// achieves when selecting from that task's answering workers (optionally
+/// Average, over every task of the dataset, of the jury quality OPTJS and
+/// MVJS achieve when selecting from that task's answering workers (optionally
 /// truncated to the first `candidate_limit` voters) under `budget`.
 fn per_task_comparison(
     dataset: &CrowdDataset,
-    optjs: &Optjs,
-    mvjs: &Mvjs,
+    service: &JuryService,
     budget: f64,
     candidate_limit: usize,
     cost_scale: Option<f64>,
@@ -60,14 +59,12 @@ fn per_task_comparison(
                 .collect(),
         };
         let pool = WorkerPool::from_workers(candidates).expect("distinct voters");
-        let o = optjs
-            .select(&pool, budget, Prior::uniform())
-            .expect("experiment budgets are valid");
-        let m = mvjs
-            .select(&pool, budget, Prior::uniform())
-            .expect("experiment budgets are valid");
-        optjs_total += o.estimated_quality;
-        mvjs_total += m.estimated_quality;
+        let [o, m] = [Strategy::Bv, Strategy::Mv].map(|strategy| {
+            select_jury(service, &pool, budget, Prior::uniform(), strategy)
+                .expect("experiment budgets are valid")
+        });
+        optjs_total += o.quality;
+        mvjs_total += m.quality;
         counted += 1;
     }
     let n = counted.max(1) as f64;
@@ -103,24 +100,16 @@ fn main() {
     );
 
     let config = if args.full {
-        SystemConfig::paper_experiments()
+        ServiceConfig::paper_experiments()
     } else {
-        SystemConfig::fast()
+        ServiceConfig::fast()
     };
-    let optjs = Optjs::new(config);
-    let mvjs = Mvjs::new(config);
+    let service = JuryService::new(config);
 
     // ---- (a) varying the budget. ----
     let mut fig10a = ComparisonSeries::new("budget");
     for budget in sweep(0.2, 1.0, 0.1) {
-        let (o, m) = per_task_comparison(
-            &dataset,
-            &optjs,
-            &mvjs,
-            budget,
-            campaign.votes_per_task,
-            None,
-        );
+        let (o, m) = per_task_comparison(&dataset, &service, budget, campaign.votes_per_task, None);
         fig10a.push(budget, o, m);
     }
     println!(
@@ -136,7 +125,7 @@ fn main() {
         .filter(|&n| n <= campaign.votes_per_task)
         .collect();
     for &n in &candidate_counts {
-        let (o, m) = per_task_comparison(&dataset, &optjs, &mvjs, 0.5, n, None);
+        let (o, m) = per_task_comparison(&dataset, &service, 0.5, n, None);
         fig10b.push(n as f64, o, m);
     }
     println!("Figure 10(b): varying candidate workers per task N (B = 0.5)");
@@ -151,8 +140,7 @@ fn main() {
         let scale = sd / campaign.cost_std_dev.max(1e-9);
         let (o, m) = per_task_comparison(
             &dataset,
-            &optjs,
-            &mvjs,
+            &service,
             0.5,
             campaign.votes_per_task,
             Some(scale),

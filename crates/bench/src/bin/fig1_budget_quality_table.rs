@@ -6,9 +6,9 @@
 //! cargo run -p jury-bench --release --bin fig1_budget_quality_table
 //! ```
 
-use jury_bench::{maybe_write_json, ExperimentArgs};
+use jury_bench::{maybe_write_json, select_jury, ExperimentArgs};
 use jury_model::{paper_example_pool, Prior};
-use jury_optjs::{Mvjs, Optjs, SystemConfig};
+use jury_service::{JuryService, Strategy};
 
 fn main() {
     let args = ExperimentArgs::from_env();
@@ -27,8 +27,8 @@ fn main() {
     }
     println!();
 
-    let optjs = Optjs::new(SystemConfig::paper_experiments());
-    let table = optjs
+    let service = JuryService::paper_experiments();
+    let table = service
         .budget_quality_table(&pool, &budgets, Prior::uniform())
         .expect("experiment budgets are valid");
     println!("Budget-quality table (OPTJS, Bayesian voting):");
@@ -41,14 +41,12 @@ fn main() {
     println!("  budget 20 -> quality 86.95%, required 20");
     println!();
 
-    let mvjs = Mvjs::new(SystemConfig::paper_experiments());
     println!("MVJS baseline (majority voting) at the same budgets:");
     println!("Budget | Jury                | JQ(MV)");
     println!("-------+---------------------+--------");
     let mut mvjs_rows = Vec::new();
     for &budget in &budgets {
-        let outcome = mvjs
-            .select(&pool, budget, Prior::uniform())
+        let outcome = select_jury(&service, &pool, budget, Prior::uniform(), Strategy::Mv)
             .expect("experiment budgets are valid");
         let ids: Vec<String> = outcome
             .worker_ids()
@@ -59,12 +57,12 @@ fn main() {
             "{:>6.0} | {:<19} | {:>5.2}%",
             budget,
             format!("{{{}}}", ids.join(", ")),
-            outcome.estimated_quality * 100.0
+            outcome.quality * 100.0
         );
         mvjs_rows.push(serde_json::json!({
             "budget": budget,
             "jury": ids,
-            "quality": outcome.estimated_quality,
+            "quality": outcome.quality,
         }));
     }
 

@@ -14,9 +14,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use jury_bench::{maybe_write_json, sweep, ExperimentArgs};
+use jury_bench::{maybe_write_json, select_jury, sweep, ComparisonSeries, ExperimentArgs};
 use jury_model::{GaussianWorkerGenerator, Prior};
-use jury_optjs::{compare_systems, ComparisonSeries, Mvjs, Optjs, SystemConfig};
+use jury_service::{JuryService, ServiceConfig, Strategy};
 
 /// The defaults of Section 6.1.1.
 struct Defaults {
@@ -35,31 +35,30 @@ fn average_comparison(
     budget: f64,
     trials: usize,
     seed: u64,
-    optjs: &Optjs,
-    mvjs: &Mvjs,
+    service: &JuryService,
 ) -> (f64, f64) {
     let mut optjs_total = 0.0;
     let mut mvjs_total = 0.0;
     for trial in 0..trials {
         let mut rng = StdRng::seed_from_u64(seed ^ (trial as u64).wrapping_mul(0x9E3779B97F4A7C15));
         let pool = generator.generate(pool_size, &mut rng);
-        let (o, m) = compare_systems(optjs, mvjs, &pool, budget, Prior::uniform())
-            .expect("experiment budgets are valid");
-        optjs_total += o.estimated_quality;
-        mvjs_total += m.estimated_quality;
+        let [o, m] = [Strategy::Bv, Strategy::Mv].map(|strategy| {
+            select_jury(service, &pool, budget, Prior::uniform(), strategy)
+                .expect("experiment budgets are valid")
+        });
+        optjs_total += o.quality;
+        mvjs_total += m.quality;
     }
     (optjs_total / trials as f64, mvjs_total / trials as f64)
 }
 
 fn main() {
     let args = ExperimentArgs::from_env();
-    let config = if args.full {
-        SystemConfig::paper_experiments()
+    let service = JuryService::new(if args.full {
+        ServiceConfig::paper_experiments()
     } else {
-        SystemConfig::fast()
-    };
-    let optjs = Optjs::new(config);
-    let mvjs = Mvjs::new(config);
+        ServiceConfig::fast()
+    });
 
     println!(
         "Figure 6 — OPTJS vs MVJS on synthetic pools ({} trials per point)\n",
@@ -76,8 +75,7 @@ fn main() {
             DEFAULTS.budget,
             args.trials,
             args.seed,
-            &optjs,
-            &mvjs,
+            &service,
         );
         fig6a.push(mu, o, m);
     }
@@ -94,8 +92,7 @@ fn main() {
             budget,
             args.trials,
             args.seed.wrapping_add(1),
-            &optjs,
-            &mvjs,
+            &service,
         );
         fig6b.push(budget, o, m);
     }
@@ -112,8 +109,7 @@ fn main() {
             DEFAULTS.budget,
             args.trials,
             args.seed.wrapping_add(2),
-            &optjs,
-            &mvjs,
+            &service,
         );
         fig6c.push(n, o, m);
     }
@@ -130,8 +126,7 @@ fn main() {
             DEFAULTS.budget,
             args.trials,
             args.seed.wrapping_add(3),
-            &optjs,
-            &mvjs,
+            &service,
         );
         fig6d.push(sd, o, m);
     }

@@ -10,10 +10,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use jury_bench::{maybe_write_json, sweep, timed, ExperimentArgs};
+use jury_bench::{maybe_write_json, sweep, timed, ExperimentArgs, Series};
 use jury_jq::BucketJqConfig;
 use jury_model::{stats, GaussianWorkerGenerator, Prior};
-use jury_optjs::Series;
 use jury_selection::{
     AnnealingConfig, AnnealingSolver, BvObjective, ExhaustiveSolver, JspInstance, JurySolver,
 };

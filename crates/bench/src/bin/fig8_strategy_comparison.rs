@@ -13,10 +13,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use jury_bench::{maybe_write_json, sweep, ExperimentArgs};
+use jury_bench::{maybe_write_json, sweep, ExperimentArgs, Series};
 use jury_jq::exact_jq;
 use jury_model::{GaussianWorkerGenerator, Jury, Prior};
-use jury_optjs::Series;
 use jury_voting::figure8_strategies;
 
 /// Average JQ of each Figure 8 strategy over random juries of size `n` drawn

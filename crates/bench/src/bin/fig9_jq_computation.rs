@@ -14,10 +14,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use jury_bench::{maybe_write_json, sweep, timed, ExperimentArgs};
+use jury_bench::{maybe_write_json, sweep, timed, ExperimentArgs, Series};
 use jury_jq::{exact_bv_jq, BucketCount, BucketJqConfig, BucketJqEstimator};
 use jury_model::{stats::Histogram, GaussianWorkerGenerator, Jury, Prior};
-use jury_optjs::Series;
 
 fn random_jury(n: usize, generator: &GaussianWorkerGenerator, rng: &mut StdRng) -> Jury {
     let qualities: Vec<f64> = (0..n).map(|_| generator.sample_quality(rng)).collect();

@@ -15,11 +15,27 @@
 //! Every binary accepts `--trials <n>`, `--seed <n>`, `--out <path.json>`
 //! and `--full` (run at the paper's full scale rather than the quicker
 //! default), and prints the series it produces as aligned text tables.
+//!
+//! The paper's two systems, OPTJS and MVJS (Figure 1), are one
+//! [`JuryService`](jury_service::JuryService) request under
+//! [`Strategy::Bv`](jury_service::Strategy::Bv) or
+//! [`Strategy::Mv`](jury_service::Strategy::Mv); see [`system`]. The
+//! [`pipeline`] module closes the loop by aggregating
+//! the selected jury's (simulated or replayed) votes with Bayesian voting,
+//! and [`report`] holds the series the binaries print and dump.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod pipeline;
+pub mod report;
+pub mod system;
+
 use std::time::Instant;
+
+pub use pipeline::{run_on_dataset, run_simulated_task, DatasetReport, TaskOutcome};
+pub use report::{ComparisonRow, ComparisonSeries, Series};
+pub use system::select_jury;
 
 /// Command-line arguments shared by every experiment binary.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,29 +1,29 @@
-//! End-to-end pipelines: select a jury, collect (or replay) its votes, and
-//! aggregate them with Bayesian voting.
+//! End-to-end pipelines: select a jury with OPTJS (a [`JuryService`] request
+//! under `Strategy::Bv`), collect (or replay) its votes, and aggregate them
+//! with Bayesian voting.
 //!
 //! Two flavours are provided:
 //!
 //! * [`run_on_dataset`] replays a collected [`CrowdDataset`] — for every
 //!   task, the candidate set is the workers who actually answered it (as in
-//!   the paper's real-data JSP experiment, Section 6.2.2), the system picks a
-//!   jury within the budget, and only the selected workers' recorded votes
+//!   the paper's real-data JSP experiment, Section 6.2.2), the service picks
+//!   a jury within the budget, and only the selected workers' recorded votes
 //!   are aggregated;
 //! * [`run_simulated_task`] runs a single fresh task through the full loop —
 //!   selection, simulated answering, aggregation — which is what the
 //!   quickstart example demonstrates.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use jury_model::{Answer, CrowdDataset, Prior, TaskId, WorkerId, WorkerPool};
-use jury_service::ServiceError;
+use jury_service::{JuryService, ServiceError, Strategy};
 use jury_sim::draw_voting;
 use jury_voting::BayesianVoting;
 
-use crate::system::Optjs;
+use crate::select_jury;
 
 /// The outcome of one task run through the pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskOutcome {
     /// The task.
     pub task: TaskId,
@@ -33,7 +33,7 @@ pub struct TaskOutcome {
     pub decided: Answer,
     /// The task's ground truth.
     pub truth: Answer,
-    /// The system's predicted jury quality at selection time.
+    /// The service's predicted jury quality at selection time.
     pub predicted_jq: f64,
     /// The jury's cost.
     pub cost: f64,
@@ -47,7 +47,7 @@ impl TaskOutcome {
 }
 
 /// Aggregate report over a dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetReport {
     /// Per-task outcomes.
     pub outcomes: Vec<TaskOutcome>,
@@ -82,7 +82,7 @@ impl DatasetReport {
 /// Errors if the budget is invalid (the selection service validates every
 /// per-task request).
 pub fn run_on_dataset(
-    system: &Optjs,
+    service: &JuryService,
     dataset: &CrowdDataset,
     budget: f64,
 ) -> Result<DatasetReport, ServiceError> {
@@ -99,7 +99,7 @@ pub fn run_on_dataset(
         }
         let pool = WorkerPool::from_workers(candidates)
             .expect("a task's voters are distinct by construction");
-        let outcome = system.select(&pool, budget, task.prior())?;
+        let outcome = select_jury(service, &pool, budget, task.prior(), Strategy::Bv)?;
 
         // Aggregate only the selected workers' recorded votes, in the order
         // of the selected jury.
@@ -132,7 +132,7 @@ pub fn run_on_dataset(
             selected: outcome.worker_ids(),
             decided,
             truth: task.ground_truth(),
-            predicted_jq: outcome.estimated_quality,
+            predicted_jq: outcome.quality,
             cost: outcome.cost,
         });
     }
@@ -143,14 +143,14 @@ pub fn run_on_dataset(
 /// pool, draw the jury's votes from their latent qualities, and aggregate
 /// with BV.
 pub fn run_simulated_task<R: Rng>(
-    system: &Optjs,
+    service: &JuryService,
     pool: &WorkerPool,
     budget: f64,
     prior: Prior,
     truth: Answer,
     rng: &mut R,
 ) -> Result<TaskOutcome, ServiceError> {
-    let outcome = system.select(pool, budget, prior)?;
+    let outcome = select_jury(service, pool, budget, prior, Strategy::Bv)?;
     let votes = draw_voting(&outcome.jury, truth, rng);
     let decided = if outcome.jury.is_empty() {
         if prior.alpha() >= 0.5 {
@@ -167,7 +167,7 @@ pub fn run_simulated_task<R: Rng>(
         selected: outcome.worker_ids(),
         decided,
         truth,
-        predicted_jq: outcome.estimated_quality,
+        predicted_jq: outcome.quality,
         cost: outcome.cost,
     })
 }
@@ -175,18 +175,18 @@ pub fn run_simulated_task<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemConfig;
     use jury_model::paper_example_pool;
+    use jury_service::ServiceConfig;
     use jury_sim::{AmtCampaignConfig, AmtSimulator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn simulated_task_pipeline_runs_end_to_end() {
-        let system = Optjs::new(SystemConfig::fast());
+        let service = JuryService::new(ServiceConfig::fast());
         let mut rng = StdRng::seed_from_u64(1);
         let outcome = run_simulated_task(
-            &system,
+            &service,
             &paper_example_pool(),
             15.0,
             Prior::uniform(),
@@ -202,7 +202,7 @@ mod tests {
 
     #[test]
     fn simulated_accuracy_tracks_predicted_jq_over_many_tasks() {
-        let system = Optjs::new(SystemConfig::fast());
+        let service = JuryService::new(ServiceConfig::fast());
         let mut rng = StdRng::seed_from_u64(2);
         let pool = paper_example_pool();
         let trials = 300;
@@ -211,7 +211,7 @@ mod tests {
         for i in 0..trials {
             let truth = if i % 2 == 0 { Answer::Yes } else { Answer::No };
             let outcome =
-                run_simulated_task(&system, &pool, 15.0, Prior::uniform(), truth, &mut rng)
+                run_simulated_task(&service, &pool, 15.0, Prior::uniform(), truth, &mut rng)
                     .unwrap();
             if outcome.is_correct() {
                 correct += 1;
@@ -231,8 +231,8 @@ mod tests {
         let sim = AmtSimulator::new(AmtCampaignConfig::small());
         let mut rng = StdRng::seed_from_u64(3);
         let dataset = sim.run(&mut rng).unwrap();
-        let system = Optjs::new(SystemConfig::fast());
-        let report = run_on_dataset(&system, &dataset, 0.5).unwrap();
+        let service = JuryService::new(ServiceConfig::fast());
+        let report = run_on_dataset(&service, &dataset, 0.5).unwrap();
         assert_eq!(report.outcomes.len(), dataset.num_tasks());
         assert!(report.accuracy > 0.6, "accuracy {}", report.accuracy);
         assert!(report.mean_predicted_jq > 0.6);
@@ -252,8 +252,8 @@ mod tests {
         let sim = AmtSimulator::new(AmtCampaignConfig::small());
         let mut rng = StdRng::seed_from_u64(4);
         let dataset = sim.run(&mut rng).unwrap();
-        let system = Optjs::new(SystemConfig::fast());
-        let report = run_on_dataset(&system, &dataset, 0.0).unwrap();
+        let service = JuryService::new(ServiceConfig::fast());
+        let report = run_on_dataset(&service, &dataset, 0.0).unwrap();
         // With no budget every jury is empty, the answer is the prior's mode
         // (No under a uniform prior), and roughly half the tasks are right.
         assert!(report.outcomes.iter().all(|o| o.selected.is_empty()));

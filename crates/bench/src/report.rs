@@ -86,7 +86,7 @@ impl ComparisonSeries {
 
 /// A named `(x, y)` series for single-curve figures (e.g. approximation
 /// error vs. numBuckets in Figure 9(b)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Series {
     /// Name of the series (the figure legend entry).
     pub name: String,

@@ -10,7 +10,9 @@
 //! against every other label and accumulate `Pr(V | t')` per key; a voting is
 //! decided for `t'` iff all components are non-negative.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use jury_model::{
     enumerate_label_votings, CategoricalPrior, Label, MatrixJury, ModelError, ModelResult,
@@ -207,6 +209,13 @@ fn check_dimensions(jury: &MatrixJury, prior: &CategoricalPrior) -> ModelResult<
     Ok(())
 }
 
+/// Bucketed key → probability mass of the tuple DP. The hasher is fixed so
+/// that iteration order, and with it the order of the float sums in
+/// [`h_for_target`], depends on the keys alone; a `RandomState` map seeds
+/// each instance afresh, which would change the result's last bits from
+/// call to call.
+type KeyMass = HashMap<Vec<i32>, f64, BuildHasherDefault<DefaultHasher>>;
+
 /// `H(t') = Σ_V Pr(V | t') 1{BV(V) = t'}` via the bucketed tuple DP on the
 /// grid of width `delta` (see [`multiclass_grid_deltas`]).
 fn h_for_target(jury: &MatrixJury, prior: &CategoricalPrior, target: Label, delta: f64) -> f64 {
@@ -256,10 +265,10 @@ fn h_for_target(jury: &MatrixJury, prior: &CategoricalPrior, target: Label, delt
     };
 
     let initial_key: Vec<i32> = initial_ratios.iter().map(|&r| quantize(r)).collect();
-    let mut current: HashMap<Vec<i32>, f64> = HashMap::from([(initial_key, 1.0f64)]);
+    let mut current: KeyMass = [(initial_key, 1.0f64)].into_iter().collect();
 
     for inc in &increments {
-        let mut next: HashMap<Vec<i32>, f64> = HashMap::with_capacity(current.len() * l);
+        let mut next = KeyMass::with_capacity_and_hasher(current.len() * l, Default::default());
         for (key, &prob) in &current {
             for k in 0..l {
                 let p = inc.prob_given_target[k];
@@ -429,6 +438,34 @@ mod tests {
             "scratch {approx} vs incremental {}",
             engine.jq()
         );
+    }
+
+    #[test]
+    fn approximation_is_bit_identical_across_calls() {
+        use jury_model::{ConfusionMatrix, MatrixWorker, WorkerId};
+        // Eight workers with asymmetric 3 × 3 confusion matrices: enough
+        // distinct keys that the order of the DP's float sums matters.
+        let workers: Vec<MatrixWorker> = (0..8)
+            .map(|i| {
+                let mut entries = Vec::with_capacity(9);
+                for t in 0..3 {
+                    let diag = 0.45 + 0.05 * ((3 * i + 5 * t) % 7) as f64;
+                    let split = 0.15 + 0.15 * ((i + 2 * t) % 5) as f64;
+                    let mut off = [(1.0 - diag) * split, (1.0 - diag) * (1.0 - split)].into_iter();
+                    entries.extend((0..3).map(|k| if k == t { diag } else { off.next().unwrap() }));
+                }
+                let confusion = ConfusionMatrix::new(3, entries).unwrap();
+                MatrixWorker::new(WorkerId(i as u32), confusion, 1.0).unwrap()
+            })
+            .collect();
+        let jury = MatrixJury::new(workers).unwrap();
+        let prior = CategoricalPrior::new(vec![0.2, 0.5, 0.3]).unwrap();
+        let config = MultiClassBucketConfig::default();
+        let first = approx_multiclass_bv_jq(&jury, &prior, config).unwrap();
+        for _ in 0..30 {
+            let again = approx_multiclass_bv_jq(&jury, &prior, config).unwrap();
+            assert_eq!(again.to_bits(), first.to_bits(), "{again} vs {first}");
+        }
     }
 
     #[test]

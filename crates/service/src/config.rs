@@ -1,10 +1,9 @@
 //! Service configuration: the knobs shared by every request, overridable
 //! per request via [`crate::SelectionRequest::with_config`].
 //!
-//! This type subsumes the old `jury_optjs::SystemConfig` (which is now a
-//! re-export of it): the same bucket/annealing/cutoff knobs drive both the
-//! OPTJS and MVJS strategies, plus the service-level batch and cache
-//! settings and the multi-class (confusion-matrix) engine configuration.
+//! The same bucket/annealing/cutoff knobs drive both the OPTJS and MVJS
+//! strategies, plus the service-level batch and cache settings and the
+//! multi-class (confusion-matrix) engine configuration.
 
 use std::time::Duration;
 

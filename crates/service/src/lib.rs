@@ -65,9 +65,8 @@
 //! Both paper systems are now *configurations* of one generic engine: the
 //! solvers are generic over `jury_selection::JuryObjective`, and the service
 //! provides a single cache-backed objective per request kind (the binary
-//! one covering both strategies). The old
-//! `jury_optjs::{Optjs, Mvjs}` types survive as thin facades delegating
-//! here.
+//! one covering both strategies): OPTJS is a request under
+//! [`Strategy::Bv`], MVJS the same request under [`Strategy::Mv`].
 //!
 //! ```
 //! use jury_model::{paper_example_pool, Prior};

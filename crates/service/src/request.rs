@@ -209,7 +209,8 @@ impl SelectionRequest {
     /// Whether a budget that affords no worker yields an empty-jury response
     /// (quality = max(α, 1 − α)) instead of
     /// [`crate::ServiceError::BudgetBelowCheapestWorker`]. Off by default;
-    /// the paper-reproduction facades turn it on to keep the seed semantics.
+    /// the paper's figure binaries turn it on, as the paper's systems return
+    /// the empty jury.
     pub fn allow_empty_selection(mut self, allow: bool) -> Self {
         self.options.allow_empty = allow;
         self

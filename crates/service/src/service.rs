@@ -933,8 +933,8 @@ impl SelectKind for SelectionRequest {
         })?;
         // An empty pool — like an unaffordable one — only admits the empty
         // jury, so it is an error exactly when empty selections are not
-        // allowed (the paper facades allow them to keep the seed semantics,
-        // e.g. dataset replays over tasks nobody answered).
+        // allowed (the paper's figure pipelines allow them, e.g. dataset
+        // replays over tasks nobody answered).
         if self.pool().is_empty() && !self.empty_selection_allowed() {
             return Err(ServiceError::EmptyPool);
         }
@@ -1296,7 +1296,7 @@ mod tests {
 
     #[test]
     fn empty_pool_yields_empty_jury_when_opted_in() {
-        // Seed semantics for the facades: an empty candidate set (e.g. a
+        // The paper's semantics, opted into: an empty candidate set (e.g. a
         // dataset task nobody answered) selects the empty jury instead of
         // erroring.
         let service = paper_service();

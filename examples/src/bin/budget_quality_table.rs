@@ -11,8 +11,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use jury_bench::ComparisonSeries;
 use jury_model::{GaussianWorkerGenerator, Prior};
-use jury_optjs::{ComparisonSeries, Mvjs, Optjs, SystemConfig};
+use jury_service::{JuryService, SelectionRequest, ServiceConfig, Strategy};
 
 fn main() {
     // A synthetic crowd of 50 candidates (Section 6.1.1 defaults).
@@ -26,13 +27,11 @@ fn main() {
         pool.total_cost()
     );
 
-    let config = SystemConfig::fast();
-    let optjs = Optjs::new(config);
-    let mvjs = Mvjs::new(config);
+    let service = JuryService::new(ServiceConfig::fast());
 
     // Budget-quality table under OPTJS.
     let budgets: Vec<f64> = (1..=8).map(|i| i as f64 * 0.1).collect();
-    let table = optjs
+    let table = service
         .budget_quality_table(&pool, &budgets, Prior::uniform())
         .expect("the example budgets are valid");
     println!("OPTJS budget-quality table:");
@@ -50,16 +49,20 @@ fn main() {
         );
     }
 
-    // Head-to-head with the MVJS baseline at each budget.
+    // Head-to-head with the MVJS baseline at each budget: the same request
+    // under the majority-voting strategy.
     let mut comparison = ComparisonSeries::new("budget");
     for &budget in &budgets {
-        let o = optjs
-            .select(&pool, budget, Prior::uniform())
-            .expect("the example budget is valid");
-        let m = mvjs
-            .select(&pool, budget, Prior::uniform())
-            .expect("the example budget is valid");
-        comparison.push(budget, o.estimated_quality, m.estimated_quality);
+        let [o, m] = [Strategy::Bv, Strategy::Mv].map(|strategy| {
+            let request = SelectionRequest::new(pool.clone(), budget)
+                .with_prior(Prior::uniform())
+                .with_strategy(strategy)
+                .allow_empty_selection(true);
+            service
+                .select(&request)
+                .expect("the example budget is valid")
+        });
+        comparison.push(budget, o.quality, m.quality);
     }
     println!("\nOPTJS vs the majority-voting baseline (MVJS):");
     println!("{}", comparison.render());

@@ -12,9 +12,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use jury_bench::run_on_dataset;
 use jury_jq::JqEngine;
 use jury_model::Prior;
-use jury_optjs::{run_on_dataset, Optjs, SystemConfig};
+use jury_service::{JuryService, ServiceConfig};
 use jury_sim::{
     dawid_skene_fit, empirical_qualities, mean_absolute_error, prefix_sweep, AmtCampaignConfig,
     AmtSimulator, DawidSkeneConfig,
@@ -62,10 +63,10 @@ fn main() {
 
     // Replay the dataset through OPTJS with a per-task budget: how accurate
     // is the selected (cheaper) jury compared to using all 20 votes?
-    let system = Optjs::new(SystemConfig::fast());
+    let service = JuryService::new(ServiceConfig::fast());
     for budget in [0.2, 0.5, 1.0] {
         let report =
-            run_on_dataset(&system, &dataset, budget).expect("the example budget is valid");
+            run_on_dataset(&service, &dataset, budget).expect("the example budget is valid");
         println!(
             "budget {budget:.1}: accuracy {:.2}%, predicted JQ {:.2}%, mean jury cost {:.3}",
             report.accuracy * 100.0,

@@ -1,19 +1,19 @@
-//! End-to-end integration tests: the full OPTJS system against the paper's
-//! worked examples and against the MVJS baseline, across crates.
+//! End-to-end integration tests: OPTJS (service requests under
+//! `Strategy::Bv`) against the paper's worked examples and against the MVJS
+//! baseline (`Strategy::Mv`), across crates.
 
+use jury_bench::{run_on_dataset, run_simulated_task, select_jury};
 use jury_integration_tests::random_pool;
-use jury_model::{paper_example_pool, Answer, Prior, WorkerId};
-use jury_optjs::{
-    compare_systems, run_on_dataset, run_simulated_task, Mvjs, Optjs, SystemConfig, SystemKind,
-};
+use jury_model::{paper_example_pool, Answer, GaussianWorkerGenerator, Prior, WorkerId};
+use jury_service::{JuryService, ServiceConfig, Strategy};
 use jury_sim::{AmtCampaignConfig, AmtSimulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
 fn figure_1_budget_quality_table_is_reproduced_end_to_end() {
-    let system = Optjs::new(SystemConfig::paper_experiments());
-    let table = system
+    let service = JuryService::paper_experiments();
+    let table = service
         .budget_quality_table(
             &paper_example_pool(),
             &[5.0, 10.0, 15.0, 20.0],
@@ -49,36 +49,74 @@ fn figure_1_budget_quality_table_is_reproduced_end_to_end() {
 
 #[test]
 fn figure_1_budget_15_jury_is_b_c_g() {
-    let system = Optjs::new(SystemConfig::paper_experiments());
-    let outcome = system
-        .select(&paper_example_pool(), 15.0, Prior::uniform())
-        .unwrap();
+    let service = JuryService::paper_experiments();
+    let outcome = select_jury(
+        &service,
+        &paper_example_pool(),
+        15.0,
+        Prior::uniform(),
+        Strategy::Bv,
+    )
+    .unwrap();
     assert_eq!(
         outcome.worker_ids(),
         vec![WorkerId(1), WorkerId(2), WorkerId(6)]
     );
     assert!((outcome.cost - 14.0).abs() < 1e-9);
-    assert!((outcome.estimated_quality - 0.845).abs() < 1e-9);
+    assert!((outcome.quality - 0.845).abs() < 1e-9);
+}
+
+#[test]
+fn mvjs_selects_under_mv_and_is_dominated() {
+    // On the paper pool, the jury chosen under JQ(BV) is never worse than
+    // the one MVJS chooses under JQ(MV), each scored under its own strategy.
+    let service = JuryService::paper_experiments();
+    let pool = paper_example_pool();
+    for budget in [10.0, 15.0, 20.0] {
+        let [o, m] = [Strategy::Bv, Strategy::Mv].map(|strategy| {
+            select_jury(&service, &pool, budget, Prior::uniform(), strategy).unwrap()
+        });
+        assert_eq!(m.strategy, Strategy::Mv);
+        assert!(
+            o.quality >= m.quality - 1e-9,
+            "budget {budget}: OPTJS {} < MVJS {}",
+            o.quality,
+            m.quality
+        );
+        assert!(o.cost <= budget + 1e-9);
+        assert!(m.cost <= budget + 1e-9);
+    }
+}
+
+#[test]
+fn prior_changes_the_selection_quality() {
+    // A confident prior acts as an extra high-quality worker (Theorem 3),
+    // so the achievable quality can only go up.
+    let service = JuryService::paper_experiments();
+    let pool = paper_example_pool();
+    let [uniform, confident] = [Prior::uniform(), Prior::new(0.9).unwrap()]
+        .map(|prior| select_jury(&service, &pool, 10.0, prior, Strategy::Bv).unwrap());
+    assert!(confident.quality >= uniform.quality - 1e-9);
 }
 
 #[test]
 fn optjs_beats_or_matches_mvjs_on_synthetic_pools() {
     // The Figure 6 claim at the system level, across several random pools
     // and budgets, with each system scored under its own strategy.
-    let config = SystemConfig::fast();
-    let optjs = Optjs::new(config);
-    let mvjs = Mvjs::new(config);
+    let service = JuryService::new(ServiceConfig::fast());
     for seed in 0..5u64 {
         let pool = random_pool(40, seed);
         for budget in [0.2, 0.5, 0.8] {
-            let (o, m) = compare_systems(&optjs, &mvjs, &pool, budget, Prior::uniform()).unwrap();
-            assert_eq!(o.system, SystemKind::Optjs);
-            assert_eq!(m.system, SystemKind::Mvjs);
+            let [o, m] = [Strategy::Bv, Strategy::Mv].map(|strategy| {
+                select_jury(&service, &pool, budget, Prior::uniform(), strategy).unwrap()
+            });
+            assert_eq!(o.strategy, Strategy::Bv);
+            assert_eq!(m.strategy, Strategy::Mv);
             assert!(
-                o.estimated_quality >= m.estimated_quality - 0.01,
+                o.quality >= m.quality - 0.01,
                 "seed {seed} budget {budget}: OPTJS {} < MVJS {}",
-                o.estimated_quality,
-                m.estimated_quality
+                o.quality,
+                m.quality
             );
             assert!(o.cost <= budget + 1e-9);
             assert!(m.cost <= budget + 1e-9);
@@ -87,10 +125,30 @@ fn optjs_beats_or_matches_mvjs_on_synthetic_pools() {
 }
 
 #[test]
+fn systems_scale_to_the_synthetic_default_pool() {
+    // The synthetic default: N = 50 workers, B = 0.5 (Section 6.1.1),
+    // solved with the fast test configuration.
+    let generator = GaussianWorkerGenerator::paper_defaults();
+    let pool = generator.generate(50, &mut StdRng::seed_from_u64(123));
+    let service = JuryService::new(ServiceConfig::fast());
+    let [o, m] = [Strategy::Bv, Strategy::Mv]
+        .map(|strategy| select_jury(&service, &pool, 0.5, Prior::uniform(), strategy).unwrap());
+    assert!(
+        o.quality >= m.quality - 0.01,
+        "OPTJS {} vs MVJS {}",
+        o.quality,
+        m.quality
+    );
+    assert!(o.quality > 0.8);
+    assert!(o.cost <= 0.5 + 1e-9);
+    assert!(m.cost <= 0.5 + 1e-9);
+}
+
+#[test]
 fn simulated_task_pipeline_is_calibrated() {
     // Selecting, collecting simulated votes, and aggregating with BV yields
     // an empirical accuracy close to the predicted JQ.
-    let system = Optjs::new(SystemConfig::fast());
+    let service = JuryService::new(ServiceConfig::fast());
     let pool = paper_example_pool();
     let mut rng = StdRng::seed_from_u64(77);
     let trials = 400;
@@ -99,7 +157,7 @@ fn simulated_task_pipeline_is_calibrated() {
     for i in 0..trials {
         let truth = if i % 2 == 0 { Answer::Yes } else { Answer::No };
         let outcome =
-            run_simulated_task(&system, &pool, 20.0, Prior::uniform(), truth, &mut rng).unwrap();
+            run_simulated_task(&service, &pool, 20.0, Prior::uniform(), truth, &mut rng).unwrap();
         assert!(outcome.cost <= 20.0 + 1e-9);
         if outcome.is_correct() {
             correct += 1;
@@ -119,9 +177,9 @@ fn amt_campaign_replay_improves_with_budget() {
     let simulator = AmtSimulator::new(AmtCampaignConfig::small());
     let mut rng = StdRng::seed_from_u64(5);
     let dataset = simulator.run(&mut rng).unwrap();
-    let system = Optjs::new(SystemConfig::fast());
-    let low = run_on_dataset(&system, &dataset, 0.1).unwrap();
-    let high = run_on_dataset(&system, &dataset, 1.0).unwrap();
+    let service = JuryService::new(ServiceConfig::fast());
+    let low = run_on_dataset(&service, &dataset, 0.1).unwrap();
+    let high = run_on_dataset(&service, &dataset, 1.0).unwrap();
     assert!(high.mean_predicted_jq >= low.mean_predicted_jq - 1e-9);
     assert!(high.mean_cost >= low.mean_cost - 1e-9);
     assert!(high.accuracy >= low.accuracy - 0.1);
@@ -130,11 +188,10 @@ fn amt_campaign_replay_improves_with_budget() {
 
 #[test]
 fn selections_never_include_workers_outside_the_pool() {
-    let config = SystemConfig::fast();
-    let optjs = Optjs::new(config);
+    let service = JuryService::new(ServiceConfig::fast());
     for seed in 0..3u64 {
         let pool = random_pool(25, seed);
-        let outcome = optjs.select(&pool, 0.4, Prior::uniform()).unwrap();
+        let outcome = select_jury(&service, &pool, 0.4, Prior::uniform(), Strategy::Bv).unwrap();
         for id in outcome.worker_ids() {
             assert!(pool.contains(id), "selected unknown worker {id}");
         }
