@@ -2,8 +2,8 @@
 //! Turk sentiment-analysis dataset.
 //!
 //! The paper's real dataset (600 tweets, 128 workers, 20 votes per task) is
-//! replaced by the statistically matched simulation in `jury-sim::amt` (see
-//! DESIGN.md for the substitution argument). For every task the candidate
+//! replaced by the statistically matched simulation in `jury-sim::amt` (its
+//! module doc gives the substitution argument). For every task the candidate
 //! pool is the set of workers who answered it, exactly as in Section 6.2.2:
 //!
 //! * (a) OPTJS vs MVJS varying the budget B;
@@ -11,6 +11,10 @@
 //! * (c) OPTJS vs MVJS varying the cost standard deviation σ̂;
 //! * (d) realized BV accuracy vs. average predicted JQ as the number of
 //!   replayed votes z grows ("is JQ a good prediction?").
+//!
+//! `--trials N` sizes the default campaign at `15 × N` tasks (the default
+//! `--trials 10` serves 150); `--full` runs the paper's full campaign
+//! whatever `--trials` says.
 //!
 //! ```text
 //! cargo run -p jury-bench --release --bin fig10_real_dataset -- --full
@@ -71,17 +75,26 @@ fn per_task_comparison(
     (optjs_total / n, mvjs_total / n)
 }
 
-fn main() {
-    let args = ExperimentArgs::from_env();
-    let campaign = if args.full {
+/// Tasks of the default (non-`--full`) campaign per `--trials` unit.
+const TASKS_PER_TRIAL: usize = 15;
+
+/// The campaign the run simulates: the paper's full campaign under
+/// `--full`, otherwise `15 × trials` tasks over 64 workers.
+fn campaign(args: &ExperimentArgs) -> AmtCampaignConfig {
+    if args.full {
         AmtCampaignConfig::default()
     } else {
         AmtCampaignConfig {
-            num_tasks: 150,
+            num_tasks: TASKS_PER_TRIAL * args.trials,
             num_workers: 64,
             ..AmtCampaignConfig::default()
         }
-    };
+    }
+}
+
+fn main() {
+    let args = ExperimentArgs::from_env();
+    let campaign = campaign(&args);
     println!(
         "Figure 10 — simulated AMT sentiment dataset ({} tasks, {} workers, {} votes/task)\n",
         campaign.num_tasks, campaign.num_workers, campaign.votes_per_task
@@ -196,4 +209,25 @@ fn main() {
         "fig10d_average_jq": jq_series,
     });
     maybe_write_json(&args.out, &dump);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn trials_size_the_default_campaign_and_full_ignores_them() {
+        let args = |trials, full| ExperimentArgs {
+            trials,
+            full,
+            ..ExperimentArgs::default()
+        };
+        // The default `--trials 10` keeps the 150-task campaign.
+        assert_eq!(campaign(&ExperimentArgs::default()).num_tasks, 150);
+        assert_eq!(campaign(&args(1, false)).num_tasks, 15);
+        assert_eq!(campaign(&args(4, false)).num_workers, 64);
+        let full = AmtCampaignConfig::default();
+        assert_eq!(campaign(&args(1, true)), full);
+        assert_eq!(campaign(&args(10, true)), full);
+    }
 }

@@ -471,6 +471,15 @@ mod tests {
         let optimal = ExhaustiveSolver::new(BvObjective::new()).solve(&instance);
         assert!((greedy.objective_value - optimal.objective_value).abs() < 1e-9);
         assert_eq!(greedy.size(), 3);
+
+        // Lemma 1: free workers all fit a zero budget, and all of them is
+        // optimal.
+        let free = WorkerPool::from_qualities_and_costs(&[0.6, 0.7, 0.8], &[0.0; 3]).unwrap();
+        let instance = JspInstance::with_uniform_prior(free, 0.0).unwrap();
+        let greedy = GreedyQualitySolver::new(BvObjective::new()).solve(&instance);
+        let optimal = ExhaustiveSolver::new(BvObjective::new()).solve(&instance);
+        assert!((greedy.objective_value - optimal.objective_value).abs() < 1e-9);
+        assert_eq!(greedy.size(), 3);
     }
 
     #[test]

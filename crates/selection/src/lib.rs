@@ -16,7 +16,6 @@
 //! * [`GreedyQualitySolver`] / [`GreedyRatioSolver`] — cheap baselines;
 //! * [`GreedyMarginalSolver`] — objective-driven forward selection scoring
 //!   pool-many single-worker extensions per round via the same sessions;
-//! * [`special::try_special_case`] — the closed-form cases of Lemmas 1 and 2;
 //! * [`MvjsSolver`] — the Majority-Voting baseline system of Cao et al. \[7\];
 //! * [`BudgetQualityTable`] — the Figure 1 budget–quality table;
 //! * [`repair_jury`] — online repair of an already-deployed jury whose
@@ -52,7 +51,6 @@ pub mod problem;
 pub mod repair;
 pub mod restart;
 pub mod solver;
-pub mod special;
 pub mod tabu;
 
 pub use annealing::{AnnealingConfig, AnnealingSolver};
@@ -75,7 +73,6 @@ pub use problem::JspInstance;
 pub use repair::{repair_jury, RepairConfig, RepairResult};
 pub use restart::{RestartConfig, RestartSolver};
 pub use solver::{JurySolver, SolveError, SolverResult};
-pub use special::{try_special_case, SpecialCase};
 pub use tabu::{TabuConfig, TabuSolver};
 
 #[cfg(test)]
@@ -222,7 +219,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use jury_model::{Prior, WorkerPool};
+    use jury_model::WorkerPool;
     use proptest::prelude::*;
 
     fn pool_strategy() -> impl Strategy<Value = WorkerPool> {
@@ -435,8 +432,9 @@ mod proptests {
             }
         }
 
-        /// When a special case applies, its closed-form jury matches the
-        /// exhaustive optimum.
+        /// With uniform costs the top-k workers by quality are optimal
+        /// (Lemmas 1–2): the quality-greedy jury matches the exhaustive
+        /// optimum.
         #[test]
         fn special_cases_are_optimal(
             qualities in proptest::collection::vec(0.5f64..0.95, 1..8),
@@ -446,12 +444,9 @@ mod proptests {
             let costs = vec![cost; qualities.len()];
             let pool = WorkerPool::from_qualities_and_costs(&qualities, &costs).unwrap();
             let instance = JspInstance::with_uniform_prior(pool, budget).unwrap();
-            let (jury, _case) = try_special_case(&instance)
-                .expect("uniform costs always trigger a special case");
-            let objective = BvObjective::new();
-            let special_value = objective.evaluate(&jury, Prior::uniform());
+            let greedy = GreedyQualitySolver::new(BvObjective::new()).solve(&instance);
             let optimal = ExhaustiveSolver::new(BvObjective::new()).solve(&instance);
-            prop_assert!((special_value - optimal.objective_value).abs() < 1e-9);
+            prop_assert!((greedy.objective_value - optimal.objective_value).abs() < 1e-9);
         }
     }
 }

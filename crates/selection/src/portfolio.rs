@@ -13,7 +13,7 @@
 //!
 //! * one shared evaluation counter — the portfolio's budget caps the race
 //!   as a whole, not each member separately;
-//! * with a caching objective (the service's sharded signature-keyed JQ
+//! * with a caching objective (the service's signature-keyed JQ
 //!   store), a probe paid by one member is a cache hit for the others.
 //!
 //! Each member's restart sequence, fold order, and RNG streams are exactly

@@ -9,13 +9,9 @@
 //! [`jury_signature`] (sound: JQ depends only on the quality multiset and
 //! the prior; see `jury_jq::signature`) plus the strategy.
 //!
-//! The store is **striped into shards**: each key hashes deterministically
-//! to one shard, and each shard owns its own `parking_lot`-guarded map,
-//! segmented-LRU budget, and hit/miss/eviction counters. Worker threads of
-//! a batch that touch different keys therefore take different locks
-//! instead of queueing on one store-wide lock.
-//! `JqCache::stats` aggregates across shards for existing callers;
-//! `JqCache::shard_stats` exposes the per-shard view.
+//! The store is one map behind one `parking_lot` read/write lock with a
+//! segmented-LRU budget over the whole capacity; `JqCache::stats` is its
+//! one counter view.
 //!
 //! Multi-class (confusion-matrix) evaluations live in the **same store**,
 //! keyed by [`multiclass_signature`] — a quantized matrix digest whose key
@@ -36,7 +32,6 @@
 //! are served by the store.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
@@ -119,26 +114,47 @@ struct CacheEntry {
     last_used: AtomicU64,
 }
 
-/// One stripe of the sharded store: its own map, lock, and counters.
+/// The shared evaluation cache. One per [`crate::JuryService`]; it outlives
+/// individual requests, so repeated and batched calls keep re-using it.
+///
+/// One map behind one `parking_lot` lock, with one set of per-kind
+/// hit/miss counters and one eviction counter. A hit only takes the read
+/// lock (its last-used stamp is bumped atomically), so concurrent batch
+/// lanes share it; only a miss's insert takes the write lock.
+///
+/// Overflow is handled by **segmented LRU eviction**: when an insert finds
+/// the store full, the stalest half of its entries (by last-used stamp) is
+/// dropped in one sweep. Hot entries — the ones batches and sweeps keep
+/// re-reading — survive, while the half-at-a-time segmentation keeps the
+/// amortized bookkeeping cost per insert `O(1)` (a full LRU list would pay
+/// pointer churn on every hit). Binary and multi-class entries share the
+/// capacity and the eviction sweep.
 #[derive(Debug)]
-struct Shard {
+pub(crate) struct JqCache {
+    capacity: usize,
     map: RwLock<HashMap<CacheKey, CacheEntry>>,
     binary_hits: AtomicU64,
     binary_misses: AtomicU64,
     multiclass_hits: AtomicU64,
     multiclass_misses: AtomicU64,
     evictions: AtomicU64,
+    /// Monotonic logical clock handing out last-used stamps.
+    tick: AtomicU64,
 }
 
-impl Shard {
-    fn new() -> Self {
-        Shard {
+impl JqCache {
+    /// Creates a store of `capacity` entries; `capacity == 0` disables
+    /// caching entirely.
+    pub(crate) fn new(capacity: usize) -> Self {
+        JqCache {
+            capacity,
             map: RwLock::new(HashMap::new()),
             binary_hits: AtomicU64::new(0),
             binary_misses: AtomicU64::new(0),
             multiclass_hits: AtomicU64::new(0),
             multiclass_misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            tick: AtomicU64::new(0),
         }
     }
 
@@ -150,7 +166,73 @@ impl Shard {
         }
     }
 
-    fn stats(&self) -> CacheStats {
+    /// The memoized evaluation behind both cached objectives: a hit is
+    /// counted on `local_hits` and returned; a miss runs `compute` and
+    /// stores its value. Concurrent threads may compute the same value
+    /// twice; the insert is idempotent, so that only costs time, never
+    /// correctness.
+    fn memoize(&self, key: CacheKey, local_hits: &AtomicU64, compute: impl FnOnce() -> f64) -> f64 {
+        if let Some(value) = self.get(&key) {
+            local_hits.fetch_add(1, Ordering::Relaxed);
+            return value;
+        }
+        let value = compute();
+        self.insert(key, value);
+        value
+    }
+
+    fn get(&self, key: &CacheKey) -> Option<f64> {
+        if self.capacity == 0 {
+            return None;
+        }
+        let (hits, misses) = self.counters(key);
+        let map = self.map.read();
+        match map.get(key) {
+            Some(entry) => {
+                entry
+                    .last_used
+                    .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
+                hits.fetch_add(1, Ordering::Relaxed);
+                Some(entry.value)
+            }
+            None => {
+                misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    fn insert(&self, key: CacheKey, value: f64) {
+        if self.capacity == 0 {
+            return;
+        }
+        let mut map = self.map.write();
+        if map.len() >= self.capacity && !map.contains_key(&key) {
+            // Evict the stalest segment: everything at or below the median
+            // last-used stamp. Stamps are unique (every hit and insert draws
+            // a fresh tick), so this removes exactly `len − keep` entries.
+            let keep = self.capacity / 2;
+            let mut stamps: Vec<u64> = map
+                .values()
+                .map(|entry| entry.last_used.load(Ordering::Relaxed))
+                .collect();
+            let evict = stamps.len() - keep;
+            let (_, cutoff, _) = stamps.select_nth_unstable(evict - 1);
+            let cutoff = *cutoff;
+            map.retain(|_, entry| entry.last_used.load(Ordering::Relaxed) > cutoff);
+            self.evictions.fetch_add(evict as u64, Ordering::Relaxed);
+        }
+        map.insert(
+            key,
+            CacheEntry {
+                value,
+                last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
+            },
+        );
+    }
+
+    /// A snapshot of the store's counters.
+    pub(crate) fn stats(&self) -> CacheStats {
         let binary = CacheKindStats {
             hits: self.binary_hits.load(Ordering::Relaxed),
             misses: self.binary_misses.load(Ordering::Relaxed),
@@ -170,154 +252,10 @@ impl Shard {
     }
 }
 
-/// The shared evaluation cache. One per [`crate::JuryService`]; it outlives
-/// individual requests, so repeated and batched calls keep re-using it.
-///
-/// The store is striped into shards (see the module docs): each key hashes
-/// deterministically to one shard via `DefaultHasher`, so a given signature
-/// always lands on — and evicts within — the same stripe. The configured
-/// capacity is split evenly across shards (rounded up, so `capacity ≥ 1`
-/// always leaves every shard at least one slot).
-///
-/// Overflow is handled per shard by **segmented LRU eviction**: when an
-/// insert finds its shard full, the stalest half of that shard's entries
-/// (by last-used stamp) is dropped in one sweep. Hot entries — the ones
-/// batches and sweeps keep re-reading — survive, unlike the wholesale
-/// `clear()` this replaces, while the half-at-a-time segmentation keeps the
-/// amortized bookkeeping cost per insert `O(1)` (a full LRU list would pay
-/// pointer churn on every hit). Binary and multi-class entries share each
-/// shard's capacity and eviction sweep; eviction pressure on one shard
-/// never touches entries on another.
-#[derive(Debug)]
-pub(crate) struct JqCache {
-    capacity_per_shard: usize,
-    shards: Box<[Shard]>,
-    /// Monotonic logical clock handing out last-used stamps; shared across
-    /// shards so stamps stay globally comparable in diagnostics.
-    tick: AtomicU64,
-}
-
-impl JqCache {
-    /// Creates a store of `shards` stripes sharing `capacity` entries.
-    /// `capacity == 0` disables caching entirely; a shard count of 0 is
-    /// promoted to 1 (a single-lock store).
-    pub(crate) fn new(capacity: usize, shards: usize) -> Self {
-        let num_shards = shards.max(1);
-        JqCache {
-            capacity_per_shard: capacity.div_ceil(num_shards),
-            shards: (0..num_shards).map(|_| Shard::new()).collect(),
-            tick: AtomicU64::new(0),
-        }
-    }
-
-    /// The number of stripes (always at least 1).
-    pub(crate) fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Deterministic key→shard routing: `DefaultHasher` is keyed with
-    /// constants, so the same key maps to the same shard in every process.
-    fn shard_for(&self, key: &CacheKey) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() % self.shards.len() as u64) as usize
-    }
-
-    /// The memoized evaluation behind both cached objectives: a hit is
-    /// counted on `local_hits` and returned; a miss runs `compute` and
-    /// stores its value. Concurrent threads may compute the same value
-    /// twice; the insert is idempotent, so that only costs time, never
-    /// correctness.
-    fn memoize(&self, key: CacheKey, local_hits: &AtomicU64, compute: impl FnOnce() -> f64) -> f64 {
-        if let Some(value) = self.get(&key) {
-            local_hits.fetch_add(1, Ordering::Relaxed);
-            return value;
-        }
-        let value = compute();
-        self.insert(key, value);
-        value
-    }
-
-    fn get(&self, key: &CacheKey) -> Option<f64> {
-        if self.capacity_per_shard == 0 {
-            return None;
-        }
-        let shard = &self.shards[self.shard_for(key)];
-        let (hits, misses) = shard.counters(key);
-        let map = shard.map.read();
-        match map.get(key) {
-            Some(entry) => {
-                entry
-                    .last_used
-                    .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-                hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.value)
-            }
-            None => {
-                misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn insert(&self, key: CacheKey, value: f64) {
-        if self.capacity_per_shard == 0 {
-            return;
-        }
-        let shard = &self.shards[self.shard_for(&key)];
-        let mut map = shard.map.write();
-        if map.len() >= self.capacity_per_shard && !map.contains_key(&key) {
-            // Evict the stalest segment: everything at or below the median
-            // last-used stamp. Stamps are unique (every hit and insert draws
-            // a fresh tick), so this removes exactly `len − keep` entries.
-            let keep = self.capacity_per_shard / 2;
-            let mut stamps: Vec<u64> = map
-                .values()
-                .map(|entry| entry.last_used.load(Ordering::Relaxed))
-                .collect();
-            let evict = stamps.len() - keep;
-            let (_, cutoff, _) = stamps.select_nth_unstable(evict - 1);
-            let cutoff = *cutoff;
-            map.retain(|_, entry| entry.last_used.load(Ordering::Relaxed) > cutoff);
-            shard.evictions.fetch_add(evict as u64, Ordering::Relaxed);
-        }
-        map.insert(
-            key,
-            CacheEntry {
-                value,
-                last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
-            },
-        );
-    }
-
-    /// The aggregated view over all shards — what existing callers see.
-    pub(crate) fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in self.shards.iter() {
-            let stats = shard.stats();
-            total.entries += stats.entries;
-            total.hits += stats.hits;
-            total.misses += stats.misses;
-            total.evictions += stats.evictions;
-            total.binary.hits += stats.binary.hits;
-            total.binary.misses += stats.binary.misses;
-            total.multiclass.hits += stats.multiclass.hits;
-            total.multiclass.misses += stats.multiclass.misses;
-        }
-        total
-    }
-
-    /// Per-shard counter snapshots, in shard order.
-    pub(crate) fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(Shard::stats).collect()
-    }
-}
-
 /// The service's unified binary objective: one implementation of
 /// [`JuryObjective`] covering both strategies, with every evaluation routed
-/// through the shared cache. This is what replaces the separate
-/// `Optjs`/`Mvjs` engines of the old system layer — the solvers are generic
-/// over the objective, so a strategy is now just a field, not a type.
+/// through the shared cache. The solvers are generic over the objective,
+/// so a strategy is a field, not a type.
 pub(crate) struct CachedObjective<'a> {
     engine: JqEngine,
     strategy: Strategy,
@@ -541,7 +479,7 @@ mod tests {
 
     #[test]
     fn cached_values_match_direct_evaluation() {
-        let cache = JqCache::new(1024, 8);
+        let cache = JqCache::new(1024);
         let objective = CachedObjective::new(engine(), Strategy::Bv, &cache);
         let jury = Jury::from_qualities(&[0.9, 0.6, 0.6]).unwrap();
         let first = objective.evaluate(&jury, Prior::uniform());
@@ -559,7 +497,7 @@ mod tests {
 
     #[test]
     fn strategies_do_not_collide() {
-        let cache = JqCache::new(1024, 8);
+        let cache = JqCache::new(1024);
         let jury = Jury::from_qualities(&[0.9, 0.6, 0.6]).unwrap();
         let bv = CachedObjective::new(engine(), Strategy::Bv, &cache);
         let mv = CachedObjective::new(engine(), Strategy::Mv, &cache);
@@ -573,7 +511,7 @@ mod tests {
     #[test]
     fn engine_configurations_do_not_collide() {
         use jury_jq::{BucketCount, BucketJqConfig, JqEngine};
-        let cache = JqCache::new(1024, 8);
+        let cache = JqCache::new(1024);
         // Same jury and prior, but one objective enumerates exactly while the
         // other is forced onto a deliberately coarse bucket approximation:
         // the values differ, so the cache must keep them apart.
@@ -599,7 +537,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let cache = JqCache::new(0, 8);
+        let cache = JqCache::new(0);
         let objective = CachedObjective::new(engine(), Strategy::Bv, &cache);
         let jury = Jury::from_qualities(&[0.8, 0.7]).unwrap();
         objective.evaluate(&jury, Prior::uniform());
@@ -611,7 +549,7 @@ mod tests {
 
     #[test]
     fn capacity_overflow_never_grows_the_cache() {
-        let cache = JqCache::new(2, 1);
+        let cache = JqCache::new(2);
         let objective = CachedObjective::new(engine(), Strategy::Bv, &cache);
         for q in [0.6, 0.65, 0.7, 0.75, 0.8] {
             let jury = Jury::from_qualities(&[q]).unwrap();
@@ -623,7 +561,7 @@ mod tests {
 
     #[test]
     fn eviction_drops_the_stalest_entries_first() {
-        let cache = JqCache::new(4, 1);
+        let cache = JqCache::new(4);
         let objective = CachedObjective::new(engine(), Strategy::Bv, &cache);
         let juries: Vec<Jury> = [0.6, 0.65, 0.7, 0.75, 0.8]
             .iter()
@@ -668,7 +606,7 @@ mod tests {
 
     #[test]
     fn multiclass_cached_values_match_direct_evaluation() {
-        let cache = JqCache::new(1024, 8);
+        let cache = JqCache::new(1024);
         let (pool, prior) = multiclass_fixture();
         let objective =
             CachedMultiClassObjective::new(&pool, &prior, &ServiceConfig::default(), &cache)
@@ -689,7 +627,7 @@ mod tests {
 
     #[test]
     fn binary_and_multiclass_entries_share_the_store_without_colliding() {
-        let cache = JqCache::new(1024, 8);
+        let cache = JqCache::new(1024);
         let (pool, prior) = multiclass_fixture();
         let multi =
             CachedMultiClassObjective::new(&pool, &prior, &ServiceConfig::default(), &cache)
@@ -717,7 +655,7 @@ mod tests {
 
     #[test]
     fn multiclass_entries_participate_in_eviction() {
-        let cache = JqCache::new(2, 1);
+        let cache = JqCache::new(2);
         let (pool, prior) = multiclass_fixture();
         let objective =
             CachedMultiClassObjective::new(&pool, &prior, &ServiceConfig::default(), &cache)
@@ -744,67 +682,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_routing_is_deterministic_across_stores() {
-        let a = JqCache::new(1024, 8);
-        let b = JqCache::new(4096, 8);
-        for i in 0..200 {
-            let q = 0.5 + 0.002 * i as f64 / 1.0;
-            let key = binary_key(q.min(0.949));
-            let shard = a.shard_for(&key);
-            assert!(shard < a.num_shards());
-            assert_eq!(shard, a.shard_for(&key), "same store, same key");
-            assert_eq!(
-                shard,
-                b.shard_for(&key),
-                "routing must depend only on the key and shard count"
-            );
-        }
-    }
-
-    #[test]
-    fn eviction_in_one_shard_leaves_other_shards_intact() {
-        // Two shards of two slots each. Overflowing one shard's slots must
-        // evict only within that shard.
-        let cache = JqCache::new(4, 2);
-        let mut by_shard: Vec<Vec<CacheKey>> = vec![Vec::new(), Vec::new()];
-        let mut q = 0.5;
-        while by_shard[0].len() < 5 || by_shard[1].len() < 2 {
-            let key = binary_key(q);
-            let shard = cache.shard_for(&key);
-            by_shard[shard].push(key);
-            q += 0.002;
-            assert!(q < 0.95, "could not craft enough keys per shard");
-        }
-        let (overflow, quiet) = (&by_shard[0], &by_shard[1][..2]);
-        for key in quiet {
-            cache.insert(key.clone(), 1.0);
-        }
-        // Five inserts into a two-slot shard force at least one eviction
-        // sweep there.
-        for key in overflow {
-            cache.insert(key.clone(), 2.0);
-        }
-        assert!(cache.stats().evictions > 0);
-        for key in quiet {
-            assert_eq!(
-                cache.get(key),
-                Some(1.0),
-                "eviction pressure on shard 0 must not touch shard 1"
-            );
-        }
-        let shard_stats = cache.shard_stats();
-        assert!(shard_stats[0].evictions > 0);
-        assert_eq!(shard_stats[1].evictions, 0);
-    }
-
-    #[test]
-    fn aggregated_stats_equal_shard_sums_under_concurrent_mixed_traffic() {
+    fn per_kind_counters_stay_exact_under_concurrent_mixed_traffic() {
         // N threads × M requests of both kinds, disjoint key sets per
-        // thread, capacity ample: every counter is exactly predictable and
-        // the aggregate must equal the per-shard sum.
+        // thread, capacity ample: every counter is exactly predictable.
         const THREADS: usize = 8;
         const KEYS_PER_THREAD: usize = 25;
-        let cache = JqCache::new(1 << 16, 8);
+        let cache = JqCache::new(1 << 16);
         let (pool, cat_prior) = multiclass_fixture();
         std::thread::scope(|scope| {
             for t in 0..THREADS {
@@ -836,29 +719,22 @@ mod tests {
             }
         });
 
-        let total = cache.stats();
         let per_kind = (THREADS * KEYS_PER_THREAD) as u64;
-        assert_eq!(total.binary.hits, per_kind);
-        assert_eq!(total.binary.misses, per_kind);
-        assert_eq!(total.multiclass.hits, per_kind);
-        assert_eq!(total.multiclass.misses, per_kind);
-        assert_eq!(total.hits, 2 * per_kind);
-        assert_eq!(total.misses, 2 * per_kind);
-        assert_eq!(total.evictions, 0);
-        assert_eq!(total.entries, 2 * per_kind as usize);
-
-        let mut summed = CacheStats::default();
-        for shard in cache.shard_stats() {
-            summed.entries += shard.entries;
-            summed.hits += shard.hits;
-            summed.misses += shard.misses;
-            summed.evictions += shard.evictions;
-            summed.binary.hits += shard.binary.hits;
-            summed.binary.misses += shard.binary.misses;
-            summed.multiclass.hits += shard.multiclass.hits;
-            summed.multiclass.misses += shard.multiclass.misses;
-        }
-        assert_eq!(total, summed, "aggregate must equal the per-shard sum");
+        let exact = CacheKindStats {
+            hits: per_kind,
+            misses: per_kind,
+        };
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                entries: 2 * per_kind as usize,
+                hits: 2 * per_kind,
+                misses: 2 * per_kind,
+                evictions: 0,
+                binary: exact,
+                multiclass: exact,
+            }
+        );
     }
 }
 
@@ -879,38 +755,14 @@ mod proptests {
                 .unwrap_or(32)
         ))]
 
-        /// Routing depends only on the key: any jury signature maps to the
-        /// same shard on every store with the same shard count, and the
-        /// shard index is always in range.
+        /// Every lookup is counted exactly once: storing then reading any
+        /// key set keeps `hits + misses` equal to the lookups issued, and
+        /// the per-kind counters sum to the totals.
         #[test]
-        fn routing_is_a_pure_function_of_the_key(
-            qualities in proptest::collection::vec(0.5f64..0.95, 1..6),
-            shards in 1usize..16,
-        ) {
-            let jury = Jury::from_qualities(&qualities).unwrap();
-            let key = CacheKey::Binary {
-                strategy: Strategy::Bv,
-                bucket: jury_jq::BucketJqConfig::default(),
-                exact_cutoff: 14,
-                signature: jury_signature(&jury, Prior::uniform()),
-            };
-            let a = JqCache::new(64, shards);
-            let b = JqCache::new(1024, shards);
-            let shard = a.shard_for(&key);
-            prop_assert!(shard < shards.max(1));
-            prop_assert_eq!(shard, a.shard_for(&key));
-            prop_assert_eq!(shard, b.shard_for(&key));
-        }
-
-        /// Hits and misses always balance: storing then reading any key set
-        /// keeps aggregate totals equal to the per-shard sums, whatever the
-        /// shard count.
-        #[test]
-        fn aggregate_always_equals_shard_sum(
+        fn hits_plus_misses_equal_the_lookups_issued(
             qualities in proptest::collection::vec(0.5f64..0.95, 1..20),
-            shards in 1usize..9,
         ) {
-            let cache = JqCache::new(1 << 12, shards);
+            let cache = JqCache::new(1 << 12);
             for (i, &q) in qualities.iter().enumerate() {
                 let jury = Jury::from_qualities(&[q]).unwrap();
                 let key = CacheKey::Binary {
@@ -924,22 +776,10 @@ mod proptests {
                 }
             }
             let total = cache.stats();
-            let summed = cache.shard_stats().into_iter().fold(
-                CacheStats::default(),
-                |mut acc, shard| {
-                    acc.entries += shard.entries;
-                    acc.hits += shard.hits;
-                    acc.misses += shard.misses;
-                    acc.evictions += shard.evictions;
-                    acc.binary.hits += shard.binary.hits;
-                    acc.binary.misses += shard.binary.misses;
-                    acc.multiclass.hits += shard.multiclass.hits;
-                    acc.multiclass.misses += shard.multiclass.misses;
-                    acc
-                },
-            );
-            prop_assert_eq!(total, summed);
             prop_assert_eq!(total.hits + total.misses, qualities.len() as u64);
+            prop_assert_eq!(total.hits, total.binary.hits + total.multiclass.hits);
+            prop_assert_eq!(total.misses, total.binary.misses + total.multiclass.misses);
+            prop_assert_eq!(total.entries as u64, total.misses);
         }
     }
 }

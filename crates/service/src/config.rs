@@ -116,12 +116,6 @@ pub struct ServiceConfig {
     /// evaluations share this one store (their signature key spaces are
     /// disjoint); [`crate::CacheStats`] reports per-kind counters.
     pub cache_capacity: usize,
-    /// Number of stripes the shared JQ store is split into. Each cache key
-    /// hashes deterministically to one stripe with its own lock and
-    /// counters, so batch worker threads touching different keys do not
-    /// contend; `1` restores the historical single-lock store, `0` is
-    /// promoted to `1`.
-    pub cache_shards: usize,
     /// Worker threads used by [`crate::JuryService::select_batch`] and the
     /// other batch entry points; `0` means one per available CPU core.
     pub batch_threads: usize,
@@ -171,7 +165,6 @@ impl Default for ServiceConfig {
             default_max_evaluations: None,
             exact_cutoff: 14,
             cache_capacity: 1 << 20,
-            cache_shards: 8,
             batch_threads: 0,
             solver_threads: 1,
             max_in_flight: 0,
@@ -256,13 +249,6 @@ impl ServiceConfig {
     /// Sets the JQ cache capacity (`0` disables caching).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Sets the JQ cache shard count (`0` is promoted to 1, the single-lock
-    /// store).
-    pub fn with_cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards;
         self
     }
 
@@ -360,7 +346,6 @@ mod tests {
         assert!(config.exact_cutoff >= 10);
         assert!(config.annealing.restarts >= 1);
         assert!(config.cache_capacity > 0);
-        assert_eq!(config.cache_shards, 8);
         assert_eq!(config.batch_threads, 0);
         assert_eq!(
             config.solver_threads, 1,
@@ -388,7 +373,6 @@ mod tests {
             .with_bucket(BucketJqConfig::paper_experiments())
             .with_annealing(AnnealingConfig::default().with_seed(9))
             .with_cache_capacity(128)
-            .with_cache_shards(2)
             .with_batch_threads(2)
             .with_solver_threads(3)
             .with_max_in_flight(4)
@@ -411,7 +395,6 @@ mod tests {
         assert_eq!(config.annealing.seed, 9);
         assert_eq!(config.bucket, BucketJqConfig::paper_experiments());
         assert_eq!(config.cache_capacity, 128);
-        assert_eq!(config.cache_shards, 2);
         assert_eq!(config.batch_threads, 2);
         assert_eq!(config.solver_threads, 3);
         assert_eq!(config.solver_parallelism(), ParallelPolicy::Threads(3));

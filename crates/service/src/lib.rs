@@ -26,14 +26,12 @@
 //! * [`JuryService::select_batch`] / [`JuryService::select_multiclass_batch`]
 //!   / [`JuryService::select_mixed_batch`] — one data-parallel batch body
 //!   across worker threads for either kind or both side by side, with
-//!   per-request error reporting and one shared **sharded** JQ evaluation
-//!   cache: the
-//!   store is striped into [`ServiceConfig::cache_shards`] independently
-//!   locked segments routed by quantized jury signature hash
+//!   per-request error reporting and one shared JQ evaluation store: one
+//!   map behind one read/write lock, keyed by quantized jury signature
 //!   ([`jury_jq::signature`]) — binary entries under
 //!   [`jury_jq::jury_signature`], multi-class entries under
 //!   [`jury_jq::multiclass_signature`], disjoint by construction and
-//!   accounted per kind and per shard in [`CacheStats`];
+//!   accounted per kind in [`CacheStats`] ([`JuryService::cache_stats`]);
 //! * **deadline-aware serving** — every request can carry a wall-clock
 //!   deadline ([`SelectionRequest::with_deadline`]) or an evaluation cap;
 //!   solvers poll a cheap [`SearchBudget`] token at cooperative checkpoints
@@ -44,8 +42,8 @@
 //!   concurrent batch work behind a non-blocking gate; over the limit,
 //!   [`OverloadPolicy::Shed`] rejects with [`ServiceError::Overloaded`]
 //!   while [`OverloadPolicy::Coarsen`] downgrades the solver policy to
-//!   greedy, with per-batch gate counters and per-shard store snapshots in
-//!   [`BatchMetrics`] (see [`JuryService::select_batch_with_metrics`]);
+//!   greedy, with per-batch gate counters in [`BatchMetrics`] (see
+//!   [`JuryService::select_batch_with_metrics`]);
 //! * [`JuryService::budget_quality_table`] and
 //!   [`JuryService::multiclass_budget_quality_table`] — one Figure 1
 //!   budget–quality sweep for both kinds, routed by [`SweepPolicy`]: cold

@@ -8,7 +8,6 @@ use std::time::Duration;
 use jury_model::{Jury, MatrixJury, MatrixWorker, WorkerId};
 use jury_stream::SelectionId;
 
-use crate::cache::CacheStats;
 use crate::error::ServiceError;
 use crate::request::{SolverPolicy, Strategy};
 
@@ -124,9 +123,10 @@ impl MixedResponse {
     }
 }
 
-/// Serving-side counters for one batch call — what the admission gate and
-/// the sharded store saw while the batch ran (see
-/// [`crate::JuryService::select_batch_with_metrics`]).
+/// Serving-side counters for one batch call — what the admission gate saw
+/// while the batch ran (see
+/// [`crate::JuryService::select_batch_with_metrics`]). The JQ store's
+/// counters are read through [`crate::JuryService::cache_stats`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchMetrics {
     /// Requests served at full fidelity (under the admission limit, or with
@@ -142,9 +142,6 @@ pub struct BatchMetrics {
     /// this batch (0 when admission control is disabled — the gate is the
     /// only thing that counts).
     pub peak_in_flight: usize,
-    /// Per-shard snapshots of the shared JQ store, taken when the batch
-    /// finished (lifetime counters, not deltas), in shard order.
-    pub shards: Vec<CacheStats>,
 }
 
 /// A batch's per-request results plus its [`BatchMetrics`] — what the
@@ -154,7 +151,7 @@ pub struct BatchMetrics {
 pub struct BatchOutcome<R> {
     /// Per-request outcomes, in request order.
     pub results: Vec<Result<R, ServiceError>>,
-    /// What the admission gate and the sharded store saw.
+    /// What the admission gate saw.
     pub metrics: BatchMetrics,
 }
 

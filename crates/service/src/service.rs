@@ -53,13 +53,12 @@ struct AdmissionCounters {
 }
 
 impl AdmissionCounters {
-    fn into_metrics(self, shards: Vec<CacheStats>) -> BatchMetrics {
+    fn into_metrics(self) -> BatchMetrics {
         BatchMetrics {
             admitted: self.admitted.into_inner(),
             shed: self.shed.into_inner(),
             coarsened: self.coarsened.into_inner(),
             peak_in_flight: self.peak_in_flight.into_inner(),
-            shards,
         }
     }
 }
@@ -110,7 +109,7 @@ impl JuryService {
     /// Creates a service with the given configuration.
     pub fn new(config: ServiceConfig) -> Self {
         JuryService {
-            cache: JqCache::new(config.cache_capacity, config.cache_shards),
+            cache: JqCache::new(config.cache_capacity),
             config,
             in_flight: AtomicUsize::new(0),
         }
@@ -126,22 +125,9 @@ impl JuryService {
         &self.config
     }
 
-    /// Counters of the shared JQ-evaluation cache, aggregated over all
-    /// shards.
+    /// Counters of the shared JQ-evaluation cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Per-shard counters of the shared JQ-evaluation cache, in shard
-    /// order (see [`ServiceConfig::cache_shards`]).
-    pub fn cache_shard_stats(&self) -> Vec<CacheStats> {
-        self.cache.shard_stats()
-    }
-
-    /// Number of lock-independent shards the JQ store was built with
-    /// (a `cache_shards` of 0 is promoted to 1 at construction).
-    pub fn num_cache_shards(&self) -> usize {
-        self.cache.num_shards()
     }
 
     /// The shared JQ cache, for the crate's other endpoint modules (the
@@ -534,7 +520,7 @@ impl JuryService {
         });
         BatchOutcome {
             results,
-            metrics: counters.into_metrics(self.cache.shard_stats()),
+            metrics: counters.into_metrics(),
         }
     }
 
@@ -553,7 +539,7 @@ impl JuryService {
     }
 
     /// [`Self::select_batch`] plus the batch's [`BatchMetrics`]: admission
-    /// counts, the in-flight peak, and per-shard cache snapshots.
+    /// counts and the in-flight peak.
     ///
     /// ```
     /// use jury_model::paper_example_pool;
@@ -566,7 +552,6 @@ impl JuryService {
     /// // Admission control is off by default: everything is admitted.
     /// assert_eq!(outcome.metrics.admitted, 4);
     /// assert_eq!(outcome.metrics.shed + outcome.metrics.coarsened, 0);
-    /// assert_eq!(outcome.metrics.shards.len(), 8);
     /// ```
     pub fn select_batch_with_metrics(
         &self,
@@ -1628,7 +1613,7 @@ mod tests {
     fn a_panicking_batch_slot_reports_internal_and_leaves_the_store_usable() {
         let service = JuryService::new(ServiceConfig::fast().with_batch_threads(4));
         // Warm the shared store so the post-panic request genuinely reads
-        // through the same shards the panicking threads touched.
+        // through the same store the panicking threads touched.
         let request = SelectionRequest::new(paper_example_pool(), 15.0);
         let before = service.select(&request).unwrap();
 

@@ -1,5 +1,5 @@
 //! A simulated crowdsourcing platform (the Amazon-Mechanical-Turk substitute
-//! described in DESIGN.md).
+//! described in the [`crate::amt`] module doc).
 //!
 //! The paper collected its real dataset on AMT (Section 6.2.1): questions are
 //! batched into HITs, each HIT is replicated into `m` assignments, and each

@@ -1,13 +1,13 @@
 //! Integration tests for the JSP solvers: the annealing heuristic against
 //! the exhaustive optimum (the Figure 7(a) / Table 3 experiment in miniature)
-//! and the closed-form special cases.
+//! and the uniform-cost case of Lemmas 1–2.
 
 use jury_integration_tests::random_pool;
 use jury_jq::BucketJqConfig;
 use jury_model::{stats, Prior, WorkerPool};
 use jury_selection::{
-    try_special_case, AnnealingConfig, AnnealingSolver, BvObjective, ExhaustiveSolver,
-    GreedyQualitySolver, JspInstance, JuryObjective, JurySolver, MvjsSolver,
+    AnnealingConfig, AnnealingSolver, BvObjective, ExhaustiveSolver, GreedyQualitySolver,
+    JspInstance, JurySolver, MvjsSolver,
 };
 
 fn bv_objective() -> BvObjective {
@@ -77,20 +77,19 @@ fn mvjs_baseline_never_beats_optjs_objective() {
 
 #[test]
 fn special_cases_shortcut_the_search() {
-    // Uniform costs: the closed-form top-k jury matches the exhaustive
-    // optimum and the annealing result.
+    // Uniform costs: the top-k jury by quality (Lemmas 1–2), which the
+    // quality greedy picks, matches the exhaustive optimum and the
+    // annealing result.
     let pool = WorkerPool::from_qualities_and_costs(
         &[0.9, 0.62, 0.74, 0.81, 0.58, 0.69],
         &[0.1, 0.1, 0.1, 0.1, 0.1, 0.1],
     )
     .unwrap();
     let instance = JspInstance::with_uniform_prior(pool, 0.35).unwrap();
-    let (special_jury, _) = try_special_case(&instance).expect("uniform costs");
-    let objective = bv_objective();
-    let special_value = objective.evaluate(&special_jury, Prior::uniform());
+    let greedy = GreedyQualitySolver::new(bv_objective()).solve(&instance);
     let optimal = ExhaustiveSolver::new(bv_objective()).solve(&instance);
     let annealed = AnnealingSolver::new(bv_objective()).solve(&instance);
-    assert!((special_value - optimal.objective_value).abs() < 1e-9);
+    assert!((greedy.objective_value - optimal.objective_value).abs() < 1e-9);
     assert!(annealed.objective_value <= optimal.objective_value + 1e-9);
     assert!(annealed.objective_value >= optimal.objective_value - 0.01);
 }
