@@ -64,7 +64,7 @@ pub use multiclass::{
 };
 pub use mvjs::MvjsSolver;
 pub use objective::{
-    bv_incremental_session_in, exact_bv_session_in, mv_incremental_session_in, BatchSession,
+    bv_exact_scoring_session_in, bv_search_session_in, mv_incremental_session_in, BatchSession,
     BvObjective, IncrementalSession, JuryObjective, MvObjective,
 };
 pub use parallel::{ArenaObjective, ParallelPolicy, SharedBestBound};

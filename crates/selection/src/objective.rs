@@ -372,16 +372,54 @@ impl<E: SessionEngine> Drop for EngineSession<'_, E> {
     }
 }
 
+/// The BV search session for `instance`, ticking `evaluations` on every
+/// `value` call — the one place that routes BV neighbourhood searches.
+/// Pools within `engine`'s exact cutoff get the exact session: their juries
+/// evaluate by exact enumeration anyway, and a quantized grid would only
+/// trade precision for nothing there. Larger pools get the bucket-grid
+/// incremental session. Both engines' buffers come from `arena` and go back
+/// to it when the session drops. Shared by [`BvObjective`] and other
+/// crates' BV objectives (e.g. `jury-service`'s cache-backed one).
+pub fn bv_search_session_in<'a>(
+    engine: &JqEngine,
+    instance: &JspInstance,
+    evaluations: &'a AtomicU64,
+    arena: &'a SharedJqScratch,
+) -> Box<dyn IncrementalSession + 'a> {
+    if instance.num_candidates() <= engine.exact_cutoff() {
+        return exact_bv_session_in(instance, evaluations, arena);
+    }
+    bv_incremental_session_in(
+        instance,
+        *engine.bucket_estimator().config(),
+        evaluations,
+        arena,
+    )
+}
+
+/// The exact BV scoring session for `instance`, when it reproduces
+/// `engine` bit for bit: when no affordable jury exceeds the exact cutoff,
+/// every value is exact enumeration, which the exact session computes
+/// without signing or storing a jury. `None` otherwise — the caller then
+/// scores through its batch path. The one place that routes BV scoring.
+pub fn bv_exact_scoring_session_in<'a>(
+    engine: &JqEngine,
+    instance: &JspInstance,
+    evaluations: &'a AtomicU64,
+    arena: &'a SharedJqScratch,
+) -> Option<Box<dyn IncrementalSession + 'a>> {
+    (instance.max_jury_size() <= engine.exact_cutoff())
+        .then(|| exact_bv_session_in(instance, evaluations, arena))
+}
+
 /// Builds a BV incremental session for the instance's juries on the grid
 /// induced by `bucket`, ticking `evaluations` on every `value` call. The
 /// grid is resolved for [`JspInstance::max_jury_size`] — every jury a
 /// search over the instance can hold — not for the whole pool. The engine's
 /// buffers come from a shared scratch arena and go back to it when the
 /// session drops, so with a warm arena opening and closing sessions is
-/// allocation-free (up to the session `Box` itself). Exposed so other
-/// crates' objectives (e.g. `jury-service`'s cache-backed one) reuse the
-/// exact session wiring of [`BvObjective`].
-pub fn bv_incremental_session_in<'a>(
+/// allocation-free (up to the session `Box` itself).
+fn bv_incremental_session_in<'a>(
     instance: &JspInstance,
     bucket: BucketJqConfig,
     evaluations: &'a AtomicU64,
@@ -401,8 +439,8 @@ pub fn bv_incremental_session_in<'a>(
 }
 
 /// Builds an MV incremental session, arena-backed like
-/// [`bv_incremental_session_in`]. The MV engine is exact, so it has no grid
-/// to size.
+/// [`bv_search_session_in`]. The MV engine is exact, so it has no grid to
+/// size.
 pub fn mv_incremental_session_in<'a>(
     prior: Prior,
     evaluations: &'a AtomicU64,
@@ -417,7 +455,7 @@ pub fn mv_incremental_session_in<'a>(
 /// [`JspInstance::max_jury_size`]. Its values are `exact_bv_jq` of the
 /// members in order, bit for bit — what [`JqEngine::bv_jq`] returns for
 /// every jury within its exact cutoff.
-pub fn exact_bv_session_in<'a>(
+fn exact_bv_session_in<'a>(
     instance: &JspInstance,
     evaluations: &'a AtomicU64,
     scratch: &'a SharedJqScratch,
@@ -483,13 +521,8 @@ impl JuryObjective for BvObjective {
     }
 
     fn scoring_session<'a>(&'a self, instance: &JspInstance) -> Box<dyn IncrementalSession + 'a> {
-        // Every jury the instance admits is within the exact cutoff, so
-        // `evaluate` enumerates it exactly — which the exact session
-        // reproduces bit for bit.
-        if instance.max_jury_size() <= self.engine.exact_cutoff() {
-            return exact_bv_session_in(instance, &self.evaluations, &self.scratch);
-        }
-        Box::new(BatchSession::new(self, instance.prior()))
+        bv_exact_scoring_session_in(&self.engine, instance, &self.evaluations, &self.scratch)
+            .unwrap_or_else(|| Box::new(BatchSession::new(self, instance.prior())))
     }
 
     fn incremental_session_in<'a>(
@@ -497,18 +530,7 @@ impl JuryObjective for BvObjective {
         instance: &JspInstance,
         arena: &'a SharedJqScratch,
     ) -> Box<dyn IncrementalSession + 'a> {
-        // Pools within the exact cutoff evaluate every jury by exact
-        // enumeration anyway — a quantized incremental grid would only trade
-        // precision for nothing there.
-        if instance.num_candidates() <= self.engine.exact_cutoff() {
-            return exact_bv_session_in(instance, &self.evaluations, arena);
-        }
-        bv_incremental_session_in(
-            instance,
-            *self.engine.bucket_estimator().config(),
-            &self.evaluations,
-            arena,
-        )
+        bv_search_session_in(&self.engine, instance, &self.evaluations, arena)
     }
 }
 

@@ -39,7 +39,7 @@ use parking_lot::RwLock;
 use jury_jq::{jury_signature, multiclass_signature, JqEngine, JurySignature, SharedJqScratch};
 use jury_model::{CategoricalPrior, Jury, MatrixPool, MatrixWorker, ModelResult, Prior};
 use jury_selection::{
-    bv_incremental_session_in, exact_bv_session_in, mv_incremental_session_in, BatchSession,
+    bv_exact_scoring_session_in, bv_search_session_in, mv_incremental_session_in, BatchSession,
     IncrementalSession, JspInstance, JuryObjective, MultiClassBvObjective,
 };
 
@@ -322,13 +322,15 @@ impl JuryObjective for CachedObjective<'_> {
     }
 
     fn scoring_session<'a>(&'a self, instance: &JspInstance) -> Box<dyn IncrementalSession + 'a> {
-        // When no affordable jury exceeds the exact cutoff, every value is
-        // exact enumeration, which the exact session reproduces bit for bit
-        // without signing or storing a jury.
-        if self.strategy == Strategy::Bv && instance.max_jury_size() <= self.engine.exact_cutoff() {
-            return exact_bv_session_in(instance, &self.requests, &self.scratch);
-        }
-        Box::new(BatchSession::new(self, instance.prior()))
+        // An exact BV session, where one fits, scores without signing or
+        // storing a jury; everything else is scored through the store.
+        let exact = match self.strategy {
+            Strategy::Bv => {
+                bv_exact_scoring_session_in(&self.engine, instance, &self.requests, &self.scratch)
+            }
+            Strategy::Mv => None,
+        };
+        exact.unwrap_or_else(|| Box::new(BatchSession::new(self, instance.prior())))
     }
 
     fn incremental_session_in<'a>(
@@ -341,19 +343,7 @@ impl JuryObjective for CachedObjective<'_> {
         // lets each portfolio lane reopen sessions without contending on
         // the shared scratch (`jury_selection::ArenaObjective`).
         match self.strategy {
-            Strategy::Bv => {
-                // Pools within the exact cutoff are evaluated by exact
-                // enumeration; the quantized session only pays off beyond it.
-                if instance.num_candidates() <= self.engine.exact_cutoff() {
-                    return exact_bv_session_in(instance, &self.requests, arena);
-                }
-                bv_incremental_session_in(
-                    instance,
-                    *self.engine.bucket_estimator().config(),
-                    &self.requests,
-                    arena,
-                )
-            }
+            Strategy::Bv => bv_search_session_in(&self.engine, instance, &self.requests, arena),
             Strategy::Mv => mv_incremental_session_in(instance.prior(), &self.requests, arena),
         }
     }

@@ -18,12 +18,12 @@ use jury_selection::{
 /// How [`crate::JuryService::budget_quality_table`] (and its multi-class
 /// sibling) serves pools beyond the exact cutoff — the **sweep policy**.
 ///
-/// This enum unifies what used to be independent boolean knobs
-/// (`warm_sweeps`, and the warm-annealing follow-up that would have been a
-/// second flag): every variant is a valid policy, so no combination of
-/// switches can contradict itself — the validation is the type. Pools within
-/// the exact cutoff always use the cold exhaustive path regardless of the
-/// policy, because those tables are provably optimal.
+/// This enum unifies what used to be independent boolean knobs (a warm-sweep
+/// switch, and the warm-annealing follow-up that would have been a second
+/// flag): every variant is a valid policy, so no combination of switches can
+/// contradict itself — the validation is the type. Pools within the exact
+/// cutoff always use the cold exhaustive path regardless of the policy,
+/// because those tables are provably optimal.
 ///
 /// * [`Cold`](SweepPolicy::Cold) — solve every budget independently through
 ///   the batched request path. The most expensive and the reference
@@ -49,38 +49,6 @@ pub enum SweepPolicy {
     /// Warm-started annealing sweep: budget `b + 1` seeded with the
     /// budget-`b` jury.
     WarmAnnealing,
-}
-
-/// What [`crate::JuryService::select_batch`] (and the other batch entry
-/// points) does with a request that arrives while
-/// [`ServiceConfig::max_in_flight`] requests are already being served.
-///
-/// The admission gate never blocks and never queues unboundedly: an
-/// over-capacity request is either rejected immediately or served in a
-/// cheaper mode, so a batch can not hang behind a stuck solver.
-///
-/// ```
-/// use jury_service::{OverloadPolicy, ServiceConfig};
-///
-/// // Shed: over-capacity slots come back as `ServiceError::Overloaded`.
-/// let shedding = ServiceConfig::fast().with_max_in_flight(2);
-/// assert_eq!(shedding.overload, OverloadPolicy::Shed);
-///
-/// // Coarsen: over-capacity requests are served with the greedy solver.
-/// let coarsening = shedding.with_overload_policy(OverloadPolicy::Coarsen);
-/// assert_eq!(coarsening.overload, OverloadPolicy::Coarsen);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OverloadPolicy {
-    /// Reject over-capacity requests with
-    /// [`crate::ServiceError::Overloaded`] — load shedding. The default:
-    /// callers that care can retry, and nothing silently degrades.
-    Shed,
-    /// Serve over-capacity requests anyway, but downgrade their solver
-    /// policy to [`crate::SolverPolicy::Greedy`] — a bounded-work search
-    /// whose jury never falls below the greedy floor. The response's
-    /// `policy` field records the downgrade.
-    Coarsen,
 }
 
 /// Configuration of a [`crate::JuryService`].
@@ -129,13 +97,6 @@ pub struct ServiceConfig {
     /// (`batch_threads × solver_threads` stays bounded by the larger of
     /// the two knobs).
     pub solver_threads: usize,
-    /// Maximum requests the batch entry points serve concurrently before
-    /// the [`OverloadPolicy`] kicks in; `0` disables admission control
-    /// entirely (every request is served at full fidelity).
-    pub max_in_flight: usize,
-    /// What happens to batch requests that arrive over
-    /// [`max_in_flight`](Self::max_in_flight) capacity.
-    pub overload: OverloadPolicy,
     /// The budget–quality sweep policy for pools beyond the exact cutoff
     /// (see [`SweepPolicy`]). Pools within the cutoff always use the cold
     /// exhaustive path.
@@ -167,8 +128,6 @@ impl Default for ServiceConfig {
             cache_capacity: 1 << 20,
             batch_threads: 0,
             solver_threads: 1,
-            max_in_flight: 0,
-            overload: OverloadPolicy::Shed,
             sweep: SweepPolicy::WarmMarginal,
             multiclass_bucket: MultiClassBucketConfig::default(),
             multiclass_incremental: MultiClassIncrementalConfig::default(),
@@ -287,20 +246,6 @@ impl ServiceConfig {
         }
     }
 
-    /// Sets the concurrent-request admission limit for the batch entry
-    /// points (`0` disables admission control).
-    pub fn with_max_in_flight(mut self, max_in_flight: usize) -> Self {
-        self.max_in_flight = max_in_flight;
-        self
-    }
-
-    /// Sets the overload policy applied to requests over the
-    /// [`max_in_flight`](Self::max_in_flight) limit.
-    pub fn with_overload_policy(mut self, overload: OverloadPolicy) -> Self {
-        self.overload = overload;
-        self
-    }
-
     /// Sets the budget–quality sweep policy.
     pub fn with_sweep_policy(mut self, sweep: SweepPolicy) -> Self {
         self.sweep = sweep;
@@ -325,11 +270,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Whether the sweep policy warm-starts large-pool budget tables.
-    pub fn warm_sweeps(&self) -> bool {
-        self.sweep != SweepPolicy::Cold
-    }
-
     /// The JQ engine this configuration induces.
     pub fn jq_engine(&self) -> JqEngine {
         JqEngine::new(self.bucket).with_exact_cutoff(self.exact_cutoff)
@@ -352,10 +292,7 @@ mod tests {
             "single solves default to the sequential (bit-identical) path"
         );
         assert_eq!(config.solver_parallelism(), ParallelPolicy::Sequential);
-        assert_eq!(config.max_in_flight, 0, "admission control defaults off");
-        assert_eq!(config.overload, OverloadPolicy::Shed);
         assert_eq!(config.sweep, SweepPolicy::WarmMarginal);
-        assert!(config.warm_sweeps());
         assert!(config.default_deadline.is_none());
         assert!(config.default_max_evaluations.is_none());
         assert_eq!(config.tabu, TabuConfig::default());
@@ -375,8 +312,6 @@ mod tests {
             .with_cache_capacity(128)
             .with_batch_threads(2)
             .with_solver_threads(3)
-            .with_max_in_flight(4)
-            .with_overload_policy(OverloadPolicy::Coarsen)
             .with_sweep_policy(SweepPolicy::Cold)
             .with_multiclass_bucket(MultiClassBucketConfig { num_buckets: 77 })
             .with_multiclass_incremental(
@@ -398,10 +333,7 @@ mod tests {
         assert_eq!(config.batch_threads, 2);
         assert_eq!(config.solver_threads, 3);
         assert_eq!(config.solver_parallelism(), ParallelPolicy::Threads(3));
-        assert_eq!(config.max_in_flight, 4);
-        assert_eq!(config.overload, OverloadPolicy::Coarsen);
         assert_eq!(config.sweep, SweepPolicy::Cold);
-        assert!(!config.warm_sweeps());
         assert_eq!(config.multiclass_bucket.num_buckets, 77);
         assert_eq!(config.multiclass_incremental.max_cells, 1 << 10);
         assert_eq!(config.multiclass_session_cutoff, 9);

@@ -82,17 +82,6 @@ pub enum ServiceError {
         /// much larger than the other variants).
         best_so_far: Option<Box<MixedResponse>>,
     },
-    /// The admission gate rejected this request: the service was already
-    /// serving [`crate::ServiceConfig::max_in_flight`] requests and the
-    /// overload policy is [`crate::OverloadPolicy::Shed`]. Immediate and
-    /// non-blocking — the caller can retry once load drains.
-    Overloaded {
-        /// Requests in flight when this one was rejected (this one
-        /// included).
-        in_flight: usize,
-        /// The configured admission limit.
-        max_in_flight: usize,
-    },
     /// A service-internal invariant broke while serving the request — e.g.
     /// a solver panicked on a batch worker thread. The shared store is
     /// unaffected (its locks do not poison) and the service stays usable;
@@ -145,13 +134,6 @@ impl std::fmt::Display for ServiceError {
                 } else {
                     "no"
                 }
-            ),
-            ServiceError::Overloaded {
-                in_flight,
-                max_in_flight,
-            } => write!(
-                f,
-                "service overloaded: {in_flight} requests in flight, limit {max_in_flight}"
             ),
             ServiceError::Internal { reason } => {
                 write!(f, "internal service error: {reason}")
@@ -238,13 +220,6 @@ mod tests {
             (
                 ServiceError::DeadlineExceeded { best_so_far: None },
                 "deadline",
-            ),
-            (
-                ServiceError::Overloaded {
-                    in_flight: 5,
-                    max_in_flight: 4,
-                },
-                "overloaded",
             ),
             (
                 ServiceError::Internal {

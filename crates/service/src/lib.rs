@@ -38,18 +38,11 @@
 //!   and stop early with the best feasible jury found so far, surfaced as
 //!   [`ServiceError::DeadlineExceeded`] with an **anytime** `best_so_far`
 //!   payload (and as a truncation flag on sweeps and repairs);
-//! * **admission control** — [`ServiceConfig::max_in_flight`] bounds
-//!   concurrent batch work behind a non-blocking gate; over the limit,
-//!   [`OverloadPolicy::Shed`] rejects with [`ServiceError::Overloaded`]
-//!   while [`OverloadPolicy::Coarsen`] downgrades the solver policy to
-//!   greedy, with per-batch gate counters in [`BatchMetrics`] (see
-//!   [`JuryService::select_batch_with_metrics`]);
 //! * [`JuryService::budget_quality_table`] and
 //!   [`JuryService::multiclass_budget_quality_table`] — one Figure 1
 //!   budget–quality sweep for both kinds, routed by [`SweepPolicy`]: cold
 //!   per-budget solves, a warm marginal sweep, or a warm **annealing**
-//!   sweep that seeds each budget with the previous budget's jury; a table
-//!   is one call, so its rows never pass the admission gate;
+//!   sweep that seeds each budget with the previous budget's jury;
 //! * [`JuryService::drift_scan`] / [`JuryService::repair`] /
 //!   [`JuryService::repair_batch`] — the **online serving loop** over
 //!   `jury-stream`: answers fold into a streaming
@@ -105,14 +98,13 @@ pub mod service;
 mod lanes;
 
 pub use cache::{CacheKindStats, CacheStats};
-pub use config::{OverloadPolicy, ServiceConfig, SweepPolicy};
+pub use config::{ServiceConfig, SweepPolicy};
 pub use error::ServiceError;
 pub use jury_selection::SearchBudget;
 pub use request::{
     MixedRequest, MultiClassSelectionRequest, SelectionRequest, SolverPolicy, Strategy,
 };
 pub use response::{
-    BatchMetrics, BatchOutcome, MixedResponse, MultiClassSelectionResponse, RepairOutcome,
-    RepairResponse, SelectionResponse,
+    MixedResponse, MultiClassSelectionResponse, RepairOutcome, RepairResponse, SelectionResponse,
 };
 pub use service::JuryService;

@@ -8,7 +8,6 @@ use std::time::Duration;
 use jury_model::{Jury, MatrixJury, MatrixWorker, WorkerId};
 use jury_stream::SelectionId;
 
-use crate::error::ServiceError;
 use crate::request::{SolverPolicy, Strategy};
 
 /// The outcome of a successfully served [`crate::SelectionRequest`].
@@ -121,38 +120,6 @@ impl MixedResponse {
             MixedResponse::Binary(_) => None,
         }
     }
-}
-
-/// Serving-side counters for one batch call — what the admission gate saw
-/// while the batch ran (see
-/// [`crate::JuryService::select_batch_with_metrics`]). The JQ store's
-/// counters are read through [`crate::JuryService::cache_stats`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BatchMetrics {
-    /// Requests served at full fidelity (under the admission limit, or with
-    /// admission control disabled).
-    pub admitted: usize,
-    /// Requests rejected with [`ServiceError::Overloaded`]
-    /// ([`crate::OverloadPolicy::Shed`]).
-    pub shed: usize,
-    /// Requests served with their solver policy downgraded to greedy
-    /// ([`crate::OverloadPolicy::Coarsen`]).
-    pub coarsened: usize,
-    /// The highest number of requests observed in flight at once during
-    /// this batch (0 when admission control is disabled — the gate is the
-    /// only thing that counts).
-    pub peak_in_flight: usize,
-}
-
-/// A batch's per-request results plus its [`BatchMetrics`] — what the
-/// `*_with_metrics` batch entry points return. Result order matches the
-/// request order, exactly like the plain batch methods.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchOutcome<R> {
-    /// Per-request outcomes, in request order.
-    pub results: Vec<Result<R, ServiceError>>,
-    /// What the admission gate saw.
-    pub metrics: BatchMetrics,
 }
 
 /// What a [`crate::JuryService::repair`] call did to a tracked jury.

@@ -1,8 +1,8 @@
 //! The service itself: validated, fallible, batch-first jury selection.
 //!
 //! Binary and multi-class requests travel through **one** pipeline: a
-//! single request body (`serve_one`), a single gated batch body
-//! (`serve_batch`), and a single budget–quality sweep (`budget_table`).
+//! single request body (`serve_one`), a single batch body (`serve_batch`),
+//! and a single budget–quality sweep (`budget_table`).
 //! What differs between the two kinds — prior validation, the cache-backed
 //! objective, the pool the solvers search, the response shape — lives in
 //! one `SelectKind` impl per kind; the shared bodies never branch on the
@@ -22,46 +22,14 @@ use jury_selection::{
 };
 
 use crate::cache::{CacheStats, CachedMultiClassObjective, CachedObjective, JqCache};
-use crate::config::{OverloadPolicy, ServiceConfig, SweepPolicy};
+use crate::config::{ServiceConfig, SweepPolicy};
 use crate::error::ServiceError;
 use crate::lanes::run_lanes;
 use crate::request::{
     MixedRequest, MultiClassSelectionRequest, RequestOptions, SelectionRequest, SolverPolicy,
     Strategy,
 };
-use crate::response::{
-    BatchMetrics, BatchOutcome, MixedResponse, MultiClassSelectionResponse, SelectionResponse,
-};
-
-/// RAII in-flight slot: decrements the service's concurrency counter when
-/// the request finishes, even if the serving closure unwinds.
-struct InFlightGuard<'a>(&'a AtomicUsize);
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Per-batch admission counters, shared across the batch worker threads.
-#[derive(Default)]
-struct AdmissionCounters {
-    admitted: AtomicUsize,
-    shed: AtomicUsize,
-    coarsened: AtomicUsize,
-    peak_in_flight: AtomicUsize,
-}
-
-impl AdmissionCounters {
-    fn into_metrics(self) -> BatchMetrics {
-        BatchMetrics {
-            admitted: self.admitted.into_inner(),
-            shed: self.shed.into_inner(),
-            coarsened: self.coarsened.into_inner(),
-            peak_in_flight: self.peak_in_flight.into_inner(),
-        }
-    }
-}
+use crate::response::{MixedResponse, MultiClassSelectionResponse, SelectionResponse};
 
 /// Renders a caught panic payload for [`ServiceError::Internal`].
 fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -94,9 +62,6 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
 pub struct JuryService {
     config: ServiceConfig,
     cache: JqCache,
-    /// Requests currently inside the admission gate of the batch entry
-    /// points (see [`ServiceConfig::max_in_flight`]).
-    in_flight: AtomicUsize,
 }
 
 impl Default for JuryService {
@@ -111,7 +76,6 @@ impl JuryService {
         JuryService {
             cache: JqCache::new(config.cache_capacity),
             config,
-            in_flight: AtomicUsize::new(0),
         }
     }
 
@@ -463,65 +427,14 @@ impl JuryService {
         slots.into_iter().map(|(_, result)| result).collect()
     }
 
-    /// One request's trip through the admission gate of the batch entry
-    /// points. Never blocks: with admission control off
-    /// (`max_in_flight == 0`) the request is served directly; otherwise the
-    /// in-flight counter is taken for the duration of the serve, and a
-    /// request arriving over capacity is either rejected immediately
-    /// ([`OverloadPolicy::Shed`]) or served in coarsened mode
-    /// ([`OverloadPolicy::Coarsen`]).
-    fn serve_gated<R: Serve>(
-        &self,
-        request: &R,
-        counters: &AdmissionCounters,
-        sequential_solver: bool,
-    ) -> Result<R::Response, ServiceError> {
-        let serve = |coarsen| request.serve(self, sequential_solver, coarsen);
-        let max_in_flight = self.config.max_in_flight;
-        if max_in_flight == 0 {
-            counters.admitted.fetch_add(1, Ordering::Relaxed);
-            return serve(false);
-        }
-        let occupied = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        let _slot = InFlightGuard(&self.in_flight);
-        counters
-            .peak_in_flight
-            .fetch_max(occupied, Ordering::Relaxed);
-        if occupied <= max_in_flight {
-            counters.admitted.fetch_add(1, Ordering::Relaxed);
-            serve(false)
-        } else {
-            match self.config.overload {
-                OverloadPolicy::Shed => {
-                    counters.shed.fetch_add(1, Ordering::Relaxed);
-                    Err(ServiceError::Overloaded {
-                        in_flight: occupied,
-                        max_in_flight,
-                    })
-                }
-                OverloadPolicy::Coarsen => {
-                    counters.coarsened.fetch_add(1, Ordering::Relaxed);
-                    serve(true)
-                }
-            }
-        }
-    }
-
-    /// The one gated batch body behind every batch entry point: each slot
-    /// passes the admission gate, whatever its kind.
-    fn serve_batch<R: Serve>(&self, requests: &[R]) -> BatchOutcome<R::Response> {
-        let counters = AdmissionCounters::default();
+    /// The one batch body behind every batch entry point, whatever the
+    /// slots' kind.
+    fn serve_batch<R: Serve>(&self, requests: &[R]) -> Vec<Result<R::Response, ServiceError>> {
         // Batch wins the cores: once the batch itself fans out across
         // worker threads, each slot's solver runs on one lane rather than
         // oversubscribing (see `ServiceConfig::solver_threads`).
         let sequential_solver = self.batch_threads(requests.len()) > 1;
-        let results = self.run_batch(requests, |request| {
-            self.serve_gated(request, &counters, sequential_solver)
-        });
-        BatchOutcome {
-            results,
-            metrics: counters.into_metrics(),
-        }
+        self.run_batch(requests, |request| request.serve(self, sequential_solver))
     }
 
     /// Serves a batch of requests, data-parallel across worker threads, all
@@ -529,46 +442,23 @@ impl JuryService {
     ///
     /// Failures are per-request: one invalid request yields an `Err` in its
     /// slot without disturbing the others. The result order matches the
-    /// request order. When [`ServiceConfig::max_in_flight`] is set, every
-    /// request passes the admission gate (see [`OverloadPolicy`]).
+    /// request order.
     pub fn select_batch(
         &self,
         requests: &[SelectionRequest],
     ) -> Vec<Result<SelectionResponse, ServiceError>> {
-        self.serve_batch(requests).results
-    }
-
-    /// [`Self::select_batch`] plus the batch's [`BatchMetrics`]: admission
-    /// counts and the in-flight peak.
-    ///
-    /// ```
-    /// use jury_model::paper_example_pool;
-    /// use jury_service::{JuryService, SelectionRequest};
-    ///
-    /// let service = JuryService::paper_experiments();
-    /// let batch = vec![SelectionRequest::new(paper_example_pool(), 15.0); 4];
-    /// let outcome = service.select_batch_with_metrics(&batch);
-    /// assert_eq!(outcome.results.len(), 4);
-    /// // Admission control is off by default: everything is admitted.
-    /// assert_eq!(outcome.metrics.admitted, 4);
-    /// assert_eq!(outcome.metrics.shed + outcome.metrics.coarsened, 0);
-    /// ```
-    pub fn select_batch_with_metrics(
-        &self,
-        requests: &[SelectionRequest],
-    ) -> BatchOutcome<SelectionResponse> {
         self.serve_batch(requests)
     }
 
     /// Serves a batch of multi-class requests through the same
     /// thread-parallel machinery (and the same shared cache) as
-    /// [`Self::select_batch`]; per-request failure semantics, result
-    /// ordering, and the admission gate are identical.
+    /// [`Self::select_batch`]; per-request failure semantics and result
+    /// ordering are identical.
     pub fn select_multiclass_batch(
         &self,
         requests: &[MultiClassSelectionRequest],
     ) -> Vec<Result<MultiClassSelectionResponse, ServiceError>> {
-        self.serve_batch(requests).results
+        self.serve_batch(requests)
     }
 
     /// Serves a **mixed** batch — binary and multi-class requests side by
@@ -596,41 +486,6 @@ impl JuryService {
         &self,
         requests: &[MixedRequest],
     ) -> Vec<Result<MixedResponse, ServiceError>> {
-        self.serve_batch(requests).results
-    }
-
-    /// [`Self::select_mixed_batch`] plus the batch's [`BatchMetrics`] —
-    /// the mixed-kind sibling of [`Self::select_batch_with_metrics`].
-    ///
-    /// With admission control on, over-capacity slots are shed or
-    /// coarsened regardless of their kind:
-    ///
-    /// ```
-    /// use jury_model::paper_example_pool;
-    /// use jury_service::{
-    ///     JuryService, MixedRequest, OverloadPolicy, SelectionRequest, ServiceConfig,
-    /// };
-    ///
-    /// let service = JuryService::new(
-    ///     ServiceConfig::fast()
-    ///         .with_max_in_flight(1)
-    ///         .with_overload_policy(OverloadPolicy::Coarsen)
-    ///         .with_batch_threads(2),
-    /// );
-    /// let batch: Vec<MixedRequest> =
-    ///     vec![SelectionRequest::new(paper_example_pool(), 15.0).into(); 6];
-    /// let outcome = service.select_mixed_batch_with_metrics(&batch);
-    /// // Coarsening never sheds: every slot is served.
-    /// assert!(outcome.results.iter().all(|slot| slot.is_ok()));
-    /// assert_eq!(
-    ///     outcome.metrics.admitted + outcome.metrics.coarsened,
-    ///     batch.len()
-    /// );
-    /// ```
-    pub fn select_mixed_batch_with_metrics(
-        &self,
-        requests: &[MixedRequest],
-    ) -> BatchOutcome<MixedResponse> {
         self.serve_batch(requests)
     }
 
@@ -661,11 +516,9 @@ impl JuryService {
     /// * [`SweepPolicy::Cold`] — one full solve per budget through the
     ///   batch engine.
     ///
-    /// A table is **one call**: its per-budget rows never pass the batch
-    /// admission gate ([`ServiceConfig::max_in_flight`]), so they are
-    /// neither shed nor coarsened. Every warm row is re-scored through this
-    /// service's cached batch objective. Budgets below the cheapest worker
-    /// yield empty-jury rows, matching the table's exploratory semantics.
+    /// Every warm row is re-scored through this service's cached batch
+    /// objective. Budgets below the cheapest worker yield empty-jury rows,
+    /// matching the table's exploratory semantics.
     pub fn budget_quality_table(
         &self,
         pool: &WorkerPool,
@@ -782,8 +635,7 @@ impl JuryService {
                 SweepPolicy::Cold => unreachable!("cold sweeps take the batch path"),
             });
         }
-        // Batch path: per-budget requests, straight to the batch engine
-        // (the table is one call, so its rows skip the admission gate).
+        // Batch path: per-budget requests, straight to the batch engine.
         // Without a deadline they are served thread-parallel. Under a sweep
         // deadline the rows are served sequentially instead, each granted
         // an equal share of the time *still remaining* — recomputed after
@@ -887,12 +739,6 @@ trait SelectKind: Clone + Sync {
 
     /// The budget–quality table row a response fills.
     fn table_row(response: Self::Response, budget: f64) -> BudgetQualityRow;
-
-    /// The request with its solver policy replaced.
-    fn with_policy(mut self, policy: SolverPolicy) -> Self {
-        self.options_mut().policy = policy;
-        self
-    }
 }
 
 impl SelectKind for SelectionRequest {
@@ -1074,20 +920,17 @@ impl SelectKind for MultiClassSelectionRequest {
     }
 }
 
-/// A slot of the gated batch body ([`JuryService::serve_batch`]): either
-/// request kind, or a [`MixedRequest`] forwarding to the kind it holds.
+/// A slot of the batch body ([`JuryService::serve_batch`]): either request
+/// kind, or a [`MixedRequest`] forwarding to the kind it holds.
 trait Serve: Sync {
     /// What a served slot returns.
     type Response: Send;
 
-    /// Serves the slot; a `coarsen`ed slot (over the admission limit under
-    /// [`OverloadPolicy::Coarsen`]) runs with its solver policy downgraded
-    /// to greedy.
+    /// Serves the slot.
     fn serve(
         &self,
         service: &JuryService,
         sequential_solver: bool,
-        coarsen: bool,
     ) -> Result<Self::Response, ServiceError>;
 }
 
@@ -1098,14 +941,8 @@ impl<R: SelectKind> Serve for R {
         &self,
         service: &JuryService,
         sequential_solver: bool,
-        coarsen: bool,
     ) -> Result<R::Response, ServiceError> {
-        if coarsen {
-            let coarsened = self.clone().with_policy(SolverPolicy::Greedy);
-            service.serve_one(&coarsened, sequential_solver)
-        } else {
-            service.serve_one(self, sequential_solver)
-        }
+        service.serve_one(self, sequential_solver)
     }
 }
 
@@ -1116,14 +953,13 @@ impl Serve for MixedRequest {
         &self,
         service: &JuryService,
         sequential_solver: bool,
-        coarsen: bool,
     ) -> Result<MixedResponse, ServiceError> {
         match self {
             MixedRequest::Binary(request) => request
-                .serve(service, sequential_solver, coarsen)
+                .serve(service, sequential_solver)
                 .map(MixedResponse::Binary),
             MixedRequest::MultiClass(request) => request
-                .serve(service, sequential_solver, coarsen)
+                .serve(service, sequential_solver)
                 .map(MixedResponse::MultiClass),
         }
     }
@@ -1346,6 +1182,14 @@ mod tests {
         let cold = cold_service
             .budget_quality_table(&pool, &budgets, Prior::uniform())
             .unwrap();
+        // Cold rows are deterministic: repeats on one service, now served
+        // from its warm JQ store, reproduce the first table exactly.
+        for _ in 0..10 {
+            let repeat = cold_service
+                .budget_quality_table(&pool, &budgets, Prior::uniform())
+                .unwrap();
+            assert_eq!(repeat, cold);
+        }
 
         let mut previous = 0.0;
         for (w, c) in warm.rows().iter().zip(cold.rows()) {
@@ -1382,10 +1226,10 @@ mod tests {
 
     #[test]
     fn small_pools_keep_the_exhaustive_table_path() {
-        // The paper pool is within the exact cutoff, so the warm-sweep flag
-        // must not change the exhaustively-optimal Figure 1 rows.
+        // The paper pool is within the exact cutoff, so the warm sweep
+        // policy must not change the exhaustively-optimal Figure 1 rows.
         let service = paper_service();
-        assert!(service.config().warm_sweeps());
+        assert_ne!(service.config().sweep, SweepPolicy::Cold);
         let table = service
             .budget_quality_table(
                 &paper_example_pool(),
